@@ -13,7 +13,7 @@ from .gradient import (
     upscale_gradient,
 )
 from .lossy import QuantizerSpec, downsample_ri, lossy_roundtrip, quantize
-from .metrics import KdTree, QualityReport, build_kdtree, chamfer, noise_ratio, ssim
+from .metrics import KdTree, QualityReport, chamfer, noise_ratio, ssim
 from .pipeline import PipelineConfig, run_pipeline, run_scan, sweep
 from .pointcloud import (
     PointCloud,

@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import UpscaleSpec, upscale_baseline
 from .gradient import ASCENDING, InterpPolicy, upscale_gradient
 from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import KdTree, QualityReport, chamfer, noise_ratio, ssim
+from .metrics import QualityReport, coincident_points, mean_chamfer, nn_distances, noise_split, ssim
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import (
     RangeImage,
@@ -130,11 +130,12 @@ def load_scan(spec: str) -> PointCloud:
     if spec.startswith("synth:"):
         return synth_scene(int(spec.split(":", 1)[1]))
     path = Path(spec)
+    reader = {".bin": read_kitti_bin, ".ply": read_ply}.get(path.suffix.lower())
+    if reader is None:
+        raise ValueError(f"{spec}: unknown input type; expected synth:<seed>, .bin or .ply")
     if not path.exists():
         raise FileNotFoundError(f"input not found: {spec}")
-    if path.suffix == ".ply":
-        return read_ply(path)
-    return read_kitti_bin(path)
+    return reader(path)
 
 
 def degrade_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage:
@@ -207,14 +208,14 @@ def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
             # un-quantized decimation of the reference
             ssim_ref = downsample_ri(ref_ri, config.factor_x, config.factor_y)
         ssim_score = ssim(test_ri, ssim_ref)
-        ref_tree = KdTree(ref_cloud)
+        # one exact query per direction; pixels both RIs share score 0.0 unqueried
+        d_test, d_ref = nn_distances(test_cloud, ref_cloud, coincident_points(test_ri, ref_ri))
         if mask is not None:
-            interp_cloud = PointCloud(points=test_cloud.points[mask])
-            ratio, densify = noise_ratio(interp_cloud, ref_cloud, config.delta, tree=ref_tree)
-            n_interp = len(interp_cloud)
+            ratio, densify = noise_split(d_test[mask], config.delta)
+            n_interp = int(np.count_nonzero(mask))
         else:
             ratio, densify, n_interp = None, 0, 0
-        cd = chamfer(test_cloud, ref_cloud, tree_b=ref_tree)
+        cd = mean_chamfer(d_test, d_ref)
         return QualityReport(ssim=ssim_score, noise_ratio=ratio, chamfer=cd,
                              densify_count=densify), n_interp
 
@@ -270,8 +271,17 @@ def run_pipeline(config: PipelineConfig) -> list[dict]:
 
     A failing scan is reported on stderr with the failing stage and does
     not stop the other scans. Raises RuntimeError at the end if nothing
-    succeeded or any scan failed.
+    succeeded or any scan failed. Raises ValueError before any scan runs
+    if two inputs would write the same artifact files.
     """
+    if not config.no_artifacts:
+        labels: dict[str, str] = {}
+        for spec in sorted(config.inputs):
+            label = _scan_label(spec)
+            if label in labels:
+                raise ValueError(f"inputs {labels[label]} and {spec} would write the same "
+                                 f"artifact files {label}_*; rename one or turn artifacts off")
+            labels[label] = spec
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []

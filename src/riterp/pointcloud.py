@@ -144,6 +144,8 @@ def read_ply(path: str | Path) -> PointCloud:
             elif tokens[0] == "property" and in_vertex:
                 if tokens[1] == "list":
                     raise ValueError(f"{path}: list vertex properties unsupported")
+                if tokens[1] not in _PLY_TYPES:
+                    raise ValueError(f"{path}: unsupported PLY property type {tokens[1]!r}")
                 names.append(tokens[2])
                 formats.append(_PLY_TYPES[tokens[1]])
             elif tokens[0] == "end_header":

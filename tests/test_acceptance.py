@@ -25,7 +25,6 @@ from riterp import (
     RangeImage,
     RiGeometry,
     UpscaleSpec,
-    build_kdtree,
     cloud_to_ri,
     quantize,
     ri_to_cloud,
@@ -179,7 +178,7 @@ def test_criterion_4_oracle_equivalence():
         n = int(rng.integers(1, 1001))
         ref = rng.uniform(-60, 60, size=(n, 3))
         queries = rng.uniform(-60, 60, size=(50, 3))
-        dist, _ = build_kdtree(PointCloud(points=ref)).query(queries)
+        dist, _ = KdTree(PointCloud(points=ref)).query(queries)
         assert np.array_equal(dist, brute_nn_dists(queries, ref))
 
     ssim_geom = RiGeometry(width=32, height=16, pitch_max=2.0, pitch_min=-24.8,

@@ -7,11 +7,13 @@ from riterp import (
     QualityReport,
     RangeImage,
     RiGeometry,
-    build_kdtree,
     chamfer,
+    downsample_ri,
     noise_ratio,
+    ri_to_cloud,
     ssim,
 )
+from riterp.metrics import coincident_points, nn_distances
 
 from conftest import random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
@@ -86,18 +88,18 @@ class TestSsim:
 class TestKdTree:
     def test_single_point_cloud(self):
         cloud = PointCloud(points=[[1.0, 2.0, 3.0]])
-        tree = build_kdtree(cloud)
+        tree = KdTree(cloud)
         dist, idx = tree.query(np.array([[4.0, 6.0, 3.0]]))
         assert dist[0] == pytest.approx(5.0)
         assert idx[0] == 0
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_kdtree(PointCloud(points=np.zeros((0, 3))))
+            KdTree(PointCloud(points=np.zeros((0, 3))))
 
     def test_duplicates_give_zero_distance(self):
         cloud = PointCloud(points=[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        tree = build_kdtree(cloud)
+        tree = KdTree(cloud)
         dist, _ = tree.query(np.array([[1.0, 1.0, 1.0]]))
         assert dist[0] == 0.0
 
@@ -107,7 +109,7 @@ class TestKdTree:
             n = int(rng.integers(1, 1000))
             ref = rng.uniform(-50, 50, size=(n, 3))
             queries = rng.uniform(-50, 50, size=(100, 3))
-            tree = build_kdtree(PointCloud(points=ref))
+            tree = KdTree(PointCloud(points=ref))
             dist, _ = tree.query(queries)
             expected = brute_nn_dists(queries, ref)
             assert np.array_equal(dist, expected)
@@ -188,6 +190,29 @@ class TestChamfer:
         cloud = PointCloud(points=[[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="non-empty"):
             chamfer(cloud, PointCloud(points=np.zeros((0, 3))))
+
+
+class TestNnDistances:
+    def test_pairs_skip_only_identical_points(self):
+        rng = np.random.default_rng(14)
+        a = rng.uniform(-10, 10, size=(60, 3))
+        b = rng.uniform(-10, 10, size=(40, 3))
+        b[:10] = a[:10]
+        b[10] = a[10] + 1e-9  # paired but not identical: must still be queried
+        pairs = (np.arange(11), np.arange(11))
+        d_ab, d_ba = nn_distances(PointCloud(points=a), PointCloud(points=b), pairs)
+        assert np.array_equal(d_ab, brute_nn_dists(a, b))
+        assert np.array_equal(d_ba, brute_nn_dists(b, a))
+
+    def test_coincident_points_pair_shared_pixels(self):
+        rng = np.random.default_rng(15)
+        a = random_ri(rng, GEOM_16)
+        b = random_ri(rng, GEOM_16)
+        b.depth[:8] = a.depth[:8]
+        ia, ib = coincident_points(a, b)
+        assert ia.size == np.count_nonzero(a.occupied[:8])
+        assert np.array_equal(ri_to_cloud(a).points[ia], ri_to_cloud(b).points[ib])
+        assert coincident_points(a, downsample_ri(b, 2, 1)) is None
 
 
 class TestQualityReport:

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from riterp import (
     PipelineConfig,
     PointCloud,
     cloud_to_ri,
     downsample_ri,
+    filter_by_range,
     noise_ratio,
     pixel_origins,
     ri_to_cloud,
@@ -16,9 +18,10 @@ from riterp import (
     sweep,
     synth_scene,
     upscale_gradient,
+    write_kitti_bin,
 )
 from riterp.cli import main
-from riterp.pipeline import StageError, run_pipeline
+from riterp.pipeline import StageError, degrade_ri, interp_mask, load_scan, run_pipeline, upscale_ri
 
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
 
@@ -30,6 +33,16 @@ def small_config(**kw):
 
 def strip_times(report: dict) -> dict:
     return {k: v for k, v in report.items() if not k.startswith("time_")}
+
+
+def same_stem_scans(tmp_path) -> list[str]:
+    """a/scan.bin and b/scan.bin: two inputs with one file stem."""
+    specs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_kitti_bin(synth_scene(0), tmp_path / sub / "scan.bin")
+        specs.append(str(tmp_path / sub / "scan.bin"))
+    return specs
 
 
 class TestConfigValidation:
@@ -126,6 +139,44 @@ class TestRunScan:
         with pytest.raises(StageError, match="ingest"):
             run_scan("nope.bin", config)
 
+    def test_unknown_suffix_rejected(self, tmp_path):
+        # 32 bytes would decode as two KITTI records if taken for a .bin
+        path = tmp_path / "scan.txt"
+        path.write_bytes(bytes(32))
+        with pytest.raises(ValueError, match="scan.txt"):
+            load_scan(str(path))
+
+
+@pytest.mark.parametrize("bits", [None, 10])
+@pytest.mark.parametrize("method", ["gradient", "bilinear", "none"])
+def test_scores_equal_unfused_oracle(method, bits):
+    """The fused score stage (one query per direction, coincident pixels
+    unqueried, sliding-midpoint trees) reports exactly what default-built
+    cKDTrees give with every point queried and the interpolated points
+    queried a second time."""
+    config = small_config(inputs=["synth:2"], method=method, bits=bits, grad_threshold=1.0)
+    report, _ = run_scan("synth:2", config)
+
+    cloud = filter_by_range(synth_scene(2), config.range_min, config.range_max)
+    ref_ri = cloud_to_ri(cloud, config.geometry)
+    deg_ri = degrade_ri(ref_ri, config)
+    up_ri = upscale_ri(deg_ri, config)
+    test_ri = deg_ri if up_ri is None else up_ri
+    ref, test = ri_to_cloud(ref_ri).points, ri_to_cloud(test_ri).points
+    d_test, _ = cKDTree(ref).query(test)
+    d_ref, _ = cKDTree(test).query(ref)
+    assert report["chamfer"] == float(0.5 * (d_test.mean() + d_ref.mean()))
+    if up_ri is None:
+        assert (report["noise_ratio"], report["densify_count"], report["interp_points"]) == (None, 0, 0)
+        return
+    d_interp, _ = cKDTree(ref).query(test[interp_mask(test_ri, config)])
+    noisy = d_interp > config.delta
+    assert report["noise_ratio"] == float(noisy.mean())
+    assert report["densify_count"] == int(noisy.size - noisy.sum())
+    n = report["interp_points"]
+    assert n == d_interp.size > 0
+    assert report["densify_count"] + round(report["noise_ratio"] * n) == n
+
 
 class TestRunPipeline:
     def test_writes_report_and_artifacts(self, tmp_path):
@@ -157,6 +208,21 @@ class TestRunPipeline:
         config = small_config(inputs=["synth:1", "synth:0"], out_dir=str(tmp_path / "s"))
         reports = run_pipeline(config)
         assert [r["input"] for r in reports] == ["synth:0", "synth:1"]
+
+    def test_same_stem_inputs_rejected_before_any_scan(self, tmp_path):
+        specs = same_stem_scans(tmp_path)
+        out = tmp_path / "run"
+        config = small_config(inputs=specs, out_dir=str(out), no_artifacts=False)
+        with pytest.raises(ValueError) as err:
+            run_pipeline(config)
+        message = str(err.value)
+        assert "\n" not in message and all(spec in message for spec in specs)
+        assert not out.exists()  # failed before any scan ran or wrote
+
+    def test_same_stem_inputs_allowed_without_artifacts(self, tmp_path):
+        specs = same_stem_scans(tmp_path)
+        config = small_config(inputs=specs, out_dir=str(tmp_path / "run"))
+        assert len(run_pipeline(config)) == 2
 
 
 class TestSweep:

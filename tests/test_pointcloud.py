@@ -113,6 +113,16 @@ class TestWritePly:
         again = read_ply(path)
         assert np.array_equal(again.points, pts)
 
+    def test_read_ply_unknown_property_type(self, tmp_path):
+        path = tmp_path / "half.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                  "property float x\nproperty float y\nproperty float z\n"
+                  "property half w\nend_header\n")
+        path.write_bytes(header.encode("ascii") + bytes(14))
+        with pytest.raises(ValueError, match="half") as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+
 
 class TestKittiBinWriter:
     def test_roundtrip(self, tmp_path):
