@@ -14,7 +14,7 @@ from .gradient import (
 )
 from .lossy import QuantizerSpec, downsample_ri, lossy_roundtrip, quantize
 from .metrics import KdTree, QualityReport, chamfer, noise_ratio, ssim
-from .pipeline import PipelineConfig, run_pipeline, run_scan, sweep
+from .pipeline import PipelineConfig, ScanContext, evaluate, prepare_scan, run_pipeline, run_scan, sweep
 from .pointcloud import (
     PointCloud,
     filter_by_range,

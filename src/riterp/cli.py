@@ -28,7 +28,7 @@ from .pipeline import (
     write_csv,
 )
 from .pointcloud import read_ply, write_kitti_bin, write_ply
-from .projection import cloud_to_ri, load_ri, ri_to_cloud, save_ri, write_pgm
+from .projection import RiGeometry, cloud_to_ri, load_ri, ri_to_cloud, save_ri, write_pgm
 from .synth import synth_scene
 
 _POLICY_NAMES = {"asc": ASCENDING, "desc": DESCENDING,
@@ -67,18 +67,21 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, sweep_mode: bool = False) ->
     p.add_argument("--no-artifacts", action="store_true")
 
 
-_CONFIG_COERCE = {
-    "width": int, "height": int, "factor_x": int, "factor_y": int,
-    "bits": int, "window_w": int, "window_h": int, "max_fills": int,
-    "pitch_max": float, "pitch_min": float, "min_depth": float,
-    "max_depth": float, "range_min": float, "range_max": float,
-    "grad_threshold": float, "delta": float,
-    "no_artifacts": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The config-file keys the parser's flags define: each flag's dest and
+    each of its spellings, with '-' read as '_'."""
+    keys = {}
+    for action in parser._actions:
+        if action.option_strings and action.dest not in ("help", "config"):
+            for name in [action.dest, *(opt.lstrip("-") for opt in action.option_strings)]:
+                keys[name.replace("-", "_")] = action
+    return keys
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Load key=value defaults from --config before parsing (CLI wins)."""
+    """Load key=value defaults from --config before parsing (CLI wins).
+    Raises ValueError naming the file and the key on a key no flag
+    defines or a value the flag would reject."""
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -87,16 +90,28 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
             path = arg.split("=", 1)[1]
     if path is None:
         return
+    keys = _config_keys(parser)
     defaults = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"error: config line without '=': {line!r}")
+            raise ValueError(f"{path}: config line without '=': {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        defaults[key] = _CONFIG_COERCE.get(key, str)(value)
+        action = keys.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        if action.nargs == 0:  # on/off flag
+            defaults[action.dest] = value.lower() in ("1", "true", "yes")
+            continue
+        try:
+            value = (action.type or str)(value)
+        except ValueError:
+            raise ValueError(f"{path}: {key} = {value!r} is not a valid {action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{path}: {key} must be one of {sorted(action.choices)}, got {value!r}")
+        defaults[action.dest] = value
     parser.set_defaults(**defaults)
 
 
@@ -140,9 +155,9 @@ def _cmd_convert(args) -> int:
             write_kitti_bin(cloud, dst)
     elif dst.suffix in (".npz", ".pgm"):
         cloud = load_scan(str(src))
-        geom = PipelineConfig(inputs=[str(src)], width=args.width, height=args.height,
-                              pitch_max=args.pitch_max, pitch_min=args.pitch_min,
-                              min_depth=args.min_depth, max_depth=args.max_depth).geometry
+        geom = RiGeometry(width=args.width, height=args.height,
+                          pitch_max=args.pitch_max, pitch_min=args.pitch_min,
+                          min_depth=args.min_depth, max_depth=args.max_depth)
         ri = cloud_to_ri(cloud, geom)
         save_ri(ri, dst) if dst.suffix == ".npz" else write_pgm(ri, dst)
     else:
@@ -166,8 +181,10 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_interp(args) -> int:
     ri = load_ri(args.input)
+    # sized so that the degraded RI is the loaded one, for the tiling check
     config = PipelineConfig(
         inputs=["-"], method=args.method,
+        width=ri.geometry.width * args.factor_x, height=ri.geometry.height * args.factor_y,
         factor_x=args.factor_x, factor_y=args.factor_y,
         window_w=args.window_w, window_h=args.window_h,
         policy_order=_POLICY_NAMES[args.policy_order],
@@ -316,10 +333,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    if argv and argv[0] in ("pipeline", "sweep"):
-        _apply_config_file(commands[argv[0]], argv[1:])
-    args = parser.parse_args(argv)
     try:
+        if argv and argv[0] in ("pipeline", "sweep"):
+            _apply_config_file(commands[argv[0]], argv[1:])
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -113,6 +113,7 @@ def nn_distances(
     a: PointCloud,
     b: PointCloud,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    tree_b: KdTree | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest-neighbor distances in both directions: a -> b and b -> a.
 
@@ -120,7 +121,8 @@ def nn_distances(
     identical in both clouds, as coincident_points() returns them. A pair
     whose coordinates are bit-identical has distance exactly 0.0 in both
     directions, so it is written as 0.0 and not queried; any other pair
-    is queried like every unpaired point.
+    is queried like every unpaired point. `tree_b`, a KdTree already built
+    over b, is used instead of building one.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
@@ -133,7 +135,9 @@ def nn_distances(
         query_b[ib[same]] = False
     d_ab = np.zeros(len(a))
     d_ba = np.zeros(len(b))
-    d_ab[query_a] = KdTree(b).query(a.points[query_a])[0]
+    if tree_b is None:
+        tree_b = KdTree(b)
+    d_ab[query_a] = tree_b.query(a.points[query_a])[0]
     d_ba[query_b] = KdTree(a).query(b.points[query_b])[0]
     return d_ab, d_ba
 

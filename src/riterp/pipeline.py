@@ -9,6 +9,10 @@ Scores are measured against the pre-degradation projection: SSIM compares
 RIs at the upscaled resolution, and the 3D metrics compare against the
 cloud reconstructed from the reference RI (which contains every source
 point the degraded image kept, when quantization is off).
+
+prepare_scan runs the stages that no degradation or interpolation setting
+changes (through the reference RI, its cloud and its k-d tree) once per
+scan; evaluate runs the rest for one config, so sweep cells share them.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 from .baselines import UpscaleSpec, upscale_baseline
 from .gradient import ASCENDING, InterpPolicy, upscale_gradient
 from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import QualityReport, coincident_points, mean_chamfer, nn_distances, noise_split, ssim
+from .metrics import KdTree, QualityReport, coincident_points, mean_chamfer, nn_distances, noise_split, ssim
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import (
     RangeImage,
@@ -39,6 +43,9 @@ from .projection import (
 from .synth import synth_scene
 
 METHODS = ("none", "bilinear", "bicubic", "lanczos3", "gradient")
+
+#: every report row carries one time_<stage>_ms per stage, in this order
+STAGES = ("ingest", "filter", "project", "degrade", "interp", "reconstruct", "score")
 
 #: points reconstructed from source pixels (white) vs interpolated pixels (red)
 SOURCE_COLOR = (200, 200, 200)
@@ -80,11 +87,16 @@ class PipelineConfig:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.method == "gradient" and (self.factor_x, self.factor_y) != (2, 1):
-            raise ValueError(
-                f"gradient interpolation is 2x horizontal only, got factors "
-                f"({self.factor_x}, {self.factor_y})"
-            )
+        if self.method == "gradient":
+            if (self.factor_x, self.factor_y) != (2, 1):
+                raise ValueError(
+                    f"gradient interpolation is 2x horizontal only, got factors "
+                    f"({self.factor_x}, {self.factor_y})"
+                )
+            w, h = self.width / self.factor_x, self.height / self.factor_y
+            if self.window_w < 2 or self.window_h < 1 or w % self.window_w or h % self.window_h:
+                raise ValueError(f"window {self.window_w}x{self.window_h} does not tile "
+                                 f"the degraded RI {w:g}x{h:g}")
         self.geometry  # validate RiGeometry invariants
         self.policy    # validate InterpPolicy invariants
         if self.bits is not None:
@@ -165,40 +177,85 @@ def interp_mask(ri: RangeImage, config: PipelineConfig) -> np.ndarray:
     return mask
 
 
-def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
-    """Run the full pipeline on one input.
+def _timed(timings: dict[str, float], stage: str, fn, *args):
+    """fn(*args), adding its wall time in ms to timings[stage]; any
+    exception is raised as a StageError naming the stage."""
+    t0 = time.perf_counter()
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+    timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0) * 1e3
+    return result
+
+
+def prefix_key(spec: str, config: PipelineConfig) -> tuple:
+    """The config fields prepare_scan's result depends on, with the input."""
+    return spec, config.range_min, config.range_max, config.geometry
+
+
+@dataclass
+class ScanContext:
+    """One scan's cell-independent prefix, built by prepare_scan."""
+
+    spec: str
+    key: tuple
+    points_in: int
+    ref_ri: RangeImage
+    ref_cloud: PointCloud
+    ref_tree: KdTree
+    #: stage times spent building the context and not yet charged to a
+    #: report; the first report evaluate() returns takes them
+    pending_ms: dict[str, float]
+
+
+def _filter_nonempty(spec: str, cloud: PointCloud, config: PipelineConfig) -> PointCloud:
+    cloud = filter_by_range(cloud, config.range_min, config.range_max)
+    if len(cloud) == 0:
+        raise ValueError(f"{spec}: no points within range [{config.range_min}, {config.range_max}]")
+    return cloud
+
+
+def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
+    """Run ingest, filter and project on one input, and build the
+    reference cloud and its k-d tree. Raises StageError with the failing
+    stage's name; the reference cloud counts as reconstruct time and the
+    tree as score time."""
+    timings: dict[str, float] = {}
+    cloud = _timed(timings, "ingest", load_scan, spec)
+    cloud = _timed(timings, "filter", _filter_nonempty, spec, cloud, config)
+    ref_ri = _timed(timings, "project", cloud_to_ri, cloud, config.geometry)
+    ref_cloud = _timed(timings, "reconstruct", ri_to_cloud, ref_ri)
+    ref_tree = _timed(timings, "score", KdTree, ref_cloud)
+    return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_cloud,
+                       ref_tree, timings)
+
+
+def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
+    """Run degrade, interp, reconstruct and score for one config against a
+    prepared scan.
 
     Returns (report, artifacts); artifacts maps name -> RangeImage /
-    (PointCloud, color) pairs for the writer. Raises StageError with the
-    failing stage's name.
+    (PointCloud, color) pairs for the writer. The first report from a
+    context also carries the stage times prepare_scan spent; later ones
+    read 0.0 for the stages they reused. Raises StageError with the
+    failing stage's name, and ValueError if config's prefix key differs
+    from the context's.
     """
-    timings: dict[str, float] = {}
-
-    def timed(stage, fn, *args):
-        t0 = time.perf_counter()
-        try:
-            result = fn(*args)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(stage, exc) from exc
-        timings[stage] = (time.perf_counter() - t0) * 1e3
-        return result
-
-    cloud = timed("ingest", load_scan, spec)
-    cloud = timed("filter", filter_by_range, cloud, config.range_min, config.range_max)
-    ref_ri = timed("project", cloud_to_ri, cloud, config.geometry)
-    deg_ri = timed("degrade", degrade_ri, ref_ri, config)
-    up_ri = timed("interp", upscale_ri, deg_ri, config)
+    if prefix_key(ctx.spec, config) != ctx.key:
+        raise ValueError(f"{ctx.spec}: scan context was prepared for another range or geometry")
+    timings = dict.fromkeys(STAGES, 0.0)
+    ref_ri, ref_cloud = ctx.ref_ri, ctx.ref_cloud
+    deg_ri = _timed(timings, "degrade", degrade_ri, ref_ri, config)
+    up_ri = _timed(timings, "interp", upscale_ri, deg_ri, config)
 
     def reconstruct():
-        ref_cloud = ri_to_cloud(ref_ri)
         test_ri = up_ri if up_ri is not None else deg_ri
         test_cloud = ri_to_cloud(test_ri)
         mask = interp_mask(test_ri, config) if up_ri is not None else None
-        return ref_cloud, test_ri, test_cloud, mask
+        return test_ri, test_cloud, mask
 
-    ref_cloud, test_ri, test_cloud, mask = timed("reconstruct", reconstruct)
+    test_ri, test_cloud, mask = _timed(timings, "reconstruct", reconstruct)
 
     def score():
         if up_ri is not None:
@@ -209,7 +266,8 @@ def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
             ssim_ref = downsample_ri(ref_ri, config.factor_x, config.factor_y)
         ssim_score = ssim(test_ri, ssim_ref)
         # one exact query per direction; pixels both RIs share score 0.0 unqueried
-        d_test, d_ref = nn_distances(test_cloud, ref_cloud, coincident_points(test_ri, ref_ri))
+        d_test, d_ref = nn_distances(test_cloud, ref_cloud, coincident_points(test_ri, ref_ri),
+                                     ctx.ref_tree)
         if mask is not None:
             ratio, densify = noise_split(d_test[mask], config.delta)
             n_interp = int(np.count_nonzero(mask))
@@ -219,16 +277,19 @@ def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
         return QualityReport(ssim=ssim_score, noise_ratio=ratio, chamfer=cd,
                              densify_count=densify), n_interp
 
-    quality, n_interp = timed("score", score)
+    quality, n_interp = _timed(timings, "score", score)
+    for stage, ms in ctx.pending_ms.items():
+        timings[stage] += ms
+    ctx.pending_ms = {}
 
     report = dict(config.echo())
-    report["input"] = spec
+    report["input"] = ctx.spec
     report.update(quality.as_dict())
     report["interp_points"] = n_interp
     report["ref_occupancy"] = occupancy(ref_ri)
     report["degraded_occupancy"] = occupancy(deg_ri)
     report["test_occupancy"] = occupancy(test_ri)
-    report["points_in"] = len(cloud)
+    report["points_in"] = ctx.points_in
     report["points_out"] = len(test_cloud)
     for stage, ms in timings.items():
         report[f"time_{stage}_ms"] = ms
@@ -241,6 +302,13 @@ def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
         "test_cloud": (test_cloud, mask),
     }
     return report, artifacts
+
+
+def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
+    """Run the full pipeline on one input: evaluate(prepare_scan(spec,
+    config), config), with every stage time in the report. Raises
+    StageError with the failing stage's name."""
+    return evaluate(prepare_scan(spec, config), config)
 
 
 def _scan_label(spec: str) -> str:
@@ -326,36 +394,57 @@ def write_csv(rows: list[dict], path: Path) -> None:
             writer.writerow(row)
 
 
-def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
-    """Cartesian sweep over config fields; one row per scan x cell.
+def _error_row(config: PipelineConfig, spec: str, error: str, overrides: dict | None = None) -> dict:
+    return {**config.echo(), **(overrides or {}), "input": spec, "error": error}
 
-    Failures become rows with an 'error' column and the sweep continues.
+
+def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig]], rows: list) -> None:
+    """Fill rows[index] for every (index, spec, cell) job of one prefix
+    group from a single prepared scan."""
+    _, spec, first = jobs[0]
+    try:
+        ctx = prepare_scan(spec, first)
+    except StageError as err:
+        for index, spec, cell in jobs:
+            rows[index] = _error_row(cell, spec, str(err))
+        return
+    for index, spec, cell in jobs:
+        try:
+            report, _ = evaluate(ctx, cell)
+            report["error"] = ""
+        except StageError as err:
+            report = _error_row(cell, spec, str(err))
+        rows[index] = report
+
+
+def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
+    """Cartesian sweep over config fields; one row per cell x scan, in
+    cell-major order.
+
+    Cells that share a scan's prefix key (input, range filter, geometry)
+    share one prepare_scan. The work runs one scan at a time, so one
+    ScanContext is alive at a time, and the prefix's stage times go to
+    the first row evaluated from it. Failures become rows with an 'error'
+    column and the sweep continues.
     """
     for name in grid:
         if name not in {f.name for f in fields(config)}:
             raise ValueError(f"unknown config field in grid: {name!r}")
-    rows = []
+    rows: list[dict | None] = []
+    groups: dict[tuple, list[tuple[int, str, PipelineConfig]]] = {}
     names = list(grid)
     for values in itertools.product(*(grid[n] for n in names)):
         overrides = dict(zip(names, values))
         try:
             cell = replace(config, **overrides)
         except ValueError as err:
-            # invalid cell: one error row per scan, sweep continues
+            # invalid cell: one error row per scan, no scan prepared
             for spec in sorted(config.inputs):
-                row = dict(config.echo())
-                row.update(overrides)
-                row["input"] = spec
-                row["error"] = f"config: {err}"
-                rows.append(row)
+                rows.append(_error_row(config, spec, f"config: {err}", overrides))
             continue
         for spec in sorted(cell.inputs):
-            try:
-                report, _ = run_scan(spec, cell)
-                report["error"] = ""
-            except StageError as err:
-                report = dict(cell.echo())
-                report["input"] = spec
-                report["error"] = str(err)
-            rows.append(report)
+            groups.setdefault(prefix_key(spec, cell), []).append((len(rows), spec, cell))
+            rows.append(None)
+    for jobs in groups.values():
+        _sweep_scan(jobs, rows)
     return rows

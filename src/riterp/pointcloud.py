@@ -46,6 +46,14 @@ class PointCloud:
         return np.linalg.norm(self.points, axis=1)
 
 
+def _read_cloud(path: str | Path, points: np.ndarray, intensity: np.ndarray | None = None) -> PointCloud:
+    """PointCloud of decoded file data; a rejected cloud names the file."""
+    try:
+        return PointCloud(points=points, intensity=intensity)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_kitti_bin(path: str | Path) -> PointCloud:
     """Decode a KITTI Velodyne scan: consecutive 16-byte records of
     4 little-endian float32 (x, y, z, reflectance), no header."""
@@ -56,10 +64,7 @@ def read_kitti_bin(path: str | Path) -> PointCloud:
             f"{KITTI_RECORD_BYTES} bytes"
         )
     records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return PointCloud(
-        points=records[:, :3].astype(np.float64),
-        intensity=records[:, 3].astype(np.float64),
-    )
+    return _read_cloud(path, records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
 
 
 def write_kitti_bin(cloud: PointCloud, path: str | Path) -> None:
@@ -161,7 +166,7 @@ def read_ply(path: str | Path) -> PointCloud:
         [data["x"].astype(np.float64), data["y"].astype(np.float64),
          data["z"].astype(np.float64)], axis=1,
     )
-    return PointCloud(points=points)
+    return _read_cloud(path, points)
 
 
 def filter_by_range(cloud: PointCloud, min_r: float, max_r: float) -> PointCloud:

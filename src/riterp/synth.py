@@ -52,6 +52,30 @@ def _box_hits(dirs: np.ndarray, bmin: np.ndarray, bmax: np.ndarray) -> np.ndarra
     return t
 
 
+def _wrap(angle: np.ndarray) -> np.ndarray:
+    """Angles wrapped into [-pi, pi)."""
+    return (angle + np.pi) % (2 * np.pi) - np.pi
+
+
+def _box_columns(geom: RiGeometry, bmin: np.ndarray, bmax: np.ndarray) -> np.ndarray:
+    """Columns whose rays can hit a box: those whose pixel-center yaw lies
+    within the angular span of the box's xy footprint, padded by one
+    column on each side, or every column when the footprint holds the
+    origin. A ray of any other column misses the footprint, so its slab
+    test would return inf."""
+    if bmin[0] <= 0 <= bmax[0] and bmin[1] <= 0 <= bmax[1]:
+        return np.arange(geom.width)
+    # the footprint is convex and does not hold the origin, so its corners
+    # lie within less than pi of the direction of its center
+    center = np.arctan2(bmin[1] + bmax[1], bmin[0] + bmax[0])
+    xs, ys = np.meshgrid([bmin[0], bmax[0]], [bmin[1], bmax[1]])
+    corners = _wrap(np.arctan2(ys, xs) - center)
+    pad = 2 * np.pi / geom.width
+    yaw, _ = pixel_center_angles(geom, 0.0, np.arange(geom.width, dtype=np.float64))
+    rel = _wrap(yaw - center)
+    return np.flatnonzero((rel >= corners.min() - pad) & (rel <= corners.max() + pad))
+
+
 def _cylinder_hits(dirs: np.ndarray, cx: float, cy: float, radius: float, z_top: float) -> np.ndarray:
     """Entry distance per ray for a vertical cylinder standing on the ground."""
     dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
@@ -75,9 +99,10 @@ def synth_scene(seed: int, geometry: RiGeometry = KITTI_GEOMETRY) -> PointCloud:
     rng = np.random.default_rng(seed)
     dirs = _ray_directions(geometry)
     depth = _ground_hits(dirs)
+    grid_dirs = dirs.reshape(geometry.height, geometry.width, 3)
+    grid_depth = depth.reshape(geometry.height, geometry.width)  # view of depth
 
     def add_boxes(count: int, dist_lo: float, dist_hi: float):
-        nonlocal depth
         for _ in range(count):
             dist = rng.uniform(dist_lo, dist_hi)
             azimuth = rng.uniform(-np.pi, np.pi)
@@ -86,7 +111,9 @@ def synth_scene(seed: int, geometry: RiGeometry = KITTI_GEOMETRY) -> PointCloud:
             height = rng.uniform(1.0, 2.6)
             bmin = np.array([cx - hx, cy - hy, -SENSOR_HEIGHT])
             bmax = np.array([cx + hx, cy + hy, -SENSOR_HEIGHT + height])
-            depth = np.minimum(depth, _box_hits(dirs, bmin, bmax))
+            cols = _box_columns(geometry, bmin, bmax)
+            hits = _box_hits(grid_dirs[:, cols].reshape(-1, 3), bmin, bmax)
+            grid_depth[:, cols] = np.minimum(grid_depth[:, cols], hits.reshape(geometry.height, -1))
 
     add_boxes(int(rng.integers(8, 13)), 6.0, 16.0)   # near field
     add_boxes(int(rng.integers(5, 9)), 18.0, 40.0)   # far field, big occlusion edges

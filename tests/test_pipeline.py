@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -20,8 +22,19 @@ from riterp import (
     upscale_gradient,
     write_kitti_bin,
 )
+from riterp import pipeline
 from riterp.cli import main
-from riterp.pipeline import StageError, degrade_ri, interp_mask, load_scan, run_pipeline, upscale_ri
+from riterp.pipeline import (
+    STAGES,
+    StageError,
+    degrade_ri,
+    evaluate,
+    interp_mask,
+    load_scan,
+    prepare_scan,
+    run_pipeline,
+    upscale_ri,
+)
 
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
 
@@ -33,6 +46,19 @@ def small_config(**kw):
 
 def strip_times(report: dict) -> dict:
     return {k: v for k, v in report.items() if not k.startswith("time_")}
+
+
+#: every field of a report row that is not a config echo or a time
+RESULT_FIELDS = ("input", "ssim", "noise_ratio", "chamfer", "densify_count", "interp_points",
+                 "ref_occupancy", "degraded_occupancy", "test_occupancy", "points_in", "points_out")
+
+
+def count_loads(monkeypatch) -> list[str]:
+    """Record every spec pipeline.load_scan is called with."""
+    calls = []
+    real = pipeline.load_scan
+    monkeypatch.setattr(pipeline, "load_scan", lambda spec: calls.append(spec) or real(spec))
+    return calls
 
 
 def same_stem_scans(tmp_path) -> list[str]:
@@ -72,6 +98,13 @@ class TestConfigValidation:
     def test_gradient_requires_2x1_factors(self):
         with pytest.raises(ValueError, match="2x horizontal"):
             PipelineConfig(method="gradient", factor_x=4)
+
+    @pytest.mark.parametrize("window", [dict(window_w=3), dict(window_h=3), dict(window_w=1),
+                                        dict(window_h=0), dict(width=100)])
+    def test_gradient_window_must_tile_degraded_ri(self, window):
+        with pytest.raises(ValueError, match="does not tile"):
+            PipelineConfig(method="gradient", **window)
+        PipelineConfig(method="bilinear", **window)  # no windows without gradient
 
 
 class TestRunScan:
@@ -138,6 +171,24 @@ class TestRunScan:
         config = small_config(inputs=["nope.bin"])
         with pytest.raises(StageError, match="ingest"):
             run_scan("nope.bin", config)
+
+    @pytest.mark.parametrize("make", ["empty", "out_of_range"])
+    def test_empty_after_filter_stops_at_filter(self, make, tmp_path, monkeypatch):
+        path = tmp_path / f"{make}.bin"
+        cloud = PointCloud(points=np.zeros((0, 3))) if make == "empty" else \
+            PointCloud(points=[[200.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        write_kitti_bin(cloud, path)
+        scored = []
+        monkeypatch.setattr(pipeline, "KdTree", lambda cloud: scored.append(cloud))
+        with pytest.raises(StageError, match=str(path)) as err:
+            run_scan(str(path), small_config(inputs=[str(path)]))
+        assert err.value.stage == "filter"
+        assert not scored
+
+    def test_evaluate_rejects_context_of_other_prefix(self):
+        ctx = prepare_scan("synth:0", small_config(inputs=["synth:0"]))
+        with pytest.raises(ValueError, match="synth:0"):
+            evaluate(ctx, small_config(inputs=["synth:0"], range_max=50.0))
 
     def test_unknown_suffix_rejected(self, tmp_path):
         # 32 bytes would decode as two KITTI records if taken for a .bin
@@ -256,6 +307,67 @@ class TestSweep:
         assert by_method["bilinear"]["error"] == ""
         assert "config" in by_method["gradient"]["error"]
 
+    @pytest.mark.parametrize("grid", [
+        {"method": ["bilinear", "gradient"], "bits": [None, 10], "grad_threshold": [0.8, 2.5]},
+        {"width": [256, 512], "method": ["none", "gradient"]},
+    ], ids=["cells", "width"])
+    def test_rows_equal_per_cell_run_scan(self, grid):
+        config = small_config(inputs=["synth:1", "synth:0"])
+        rows = sweep(config, grid)
+        names = list(grid)
+        expected = []
+        for values in itertools.product(*grid.values()):
+            cell = small_config(inputs=["synth:1", "synth:0"], **dict(zip(names, values)))
+            expected += [run_scan(spec, cell)[0] for spec in ("synth:0", "synth:1")]
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert row["error"] == ""
+            assert {k: row[k] for k in RESULT_FIELDS} == {k: want[k] for k in RESULT_FIELDS}
+            assert row.keys() - {"error"} == want.keys()
+
+    def test_one_load_per_prefix_group(self, monkeypatch):
+        calls = count_loads(monkeypatch)
+        config = small_config(inputs=["synth:0", "synth:1"])
+        rows = sweep(config, {"width": [256, 512], "method": ["bilinear", "gradient"],
+                              "grad_threshold": [1.0, 2.5]})
+        assert len(rows) == 16 and not any(row["error"] for row in rows)
+        assert sorted(calls) == ["synth:0", "synth:0", "synth:1", "synth:1"]
+
+    def test_reused_stages_read_zero(self):
+        config = small_config(inputs=["synth:0", "synth:1"])
+        t0 = time.perf_counter()
+        rows = sweep(config, {"method": ["bilinear", "gradient"], "bits": [None, 10]})
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        assert all(list(k for k in row if k.startswith("time_")) == [f"time_{s}_ms" for s in STAGES]
+                   for row in rows)
+        assert sum(v for row in rows for k, v in row.items() if k.startswith("time_")) <= wall_ms
+        for spec in ("synth:0", "synth:1"):
+            mine = [row for row in rows if row["input"] == spec]
+            charged = [row for row in mine if row["time_ingest_ms"] > 0]
+            assert charged == [mine[0]]  # the first row evaluated from the context
+            assert all(row[f"time_{s}_ms"] > 0 for s in STAGES for row in charged)
+            for row in mine[1:]:
+                assert row["time_ingest_ms"] == row["time_filter_ms"] == row["time_project_ms"] == 0.0
+                assert row["time_reconstruct_ms"] > 0 and row["time_score_ms"] > 0
+
+    def test_prefix_failure_gives_error_row_per_cell(self, monkeypatch):
+        calls = count_loads(monkeypatch)
+        config = small_config(inputs=["synth:0", "missing.bin"])
+        rows = sweep(config, {"method": ["bilinear", "gradient"], "bits": [None, 10]})
+        assert [row["input"] for row in rows] == ["missing.bin", "synth:0"] * 4
+        for row in rows[::2]:
+            assert "stage 'ingest'" in row["error"] and "missing.bin" in row["error"]
+        assert all(row["error"] == "" and row["ssim"] > 0 for row in rows[1::2])
+        assert sorted(calls) == ["missing.bin", "synth:0"]
+
+    def test_invalid_window_cell_prepares_no_scan(self, monkeypatch):
+        calls = count_loads(monkeypatch)
+        config = small_config(inputs=["synth:0"], method="gradient")
+        rows = sweep(config, {"window_w": [3, 32]})
+        assert rows[0]["error"].startswith("config:") and "does not tile" in rows[0]["error"]
+        assert rows[1]["error"] == ""
+        assert calls == ["synth:0"]
+
     def test_noise_monotone_in_threshold(self):
         # stricter thresholds admit fewer risky fills
         config = small_config(inputs=["synth:0"], method="gradient")
@@ -316,6 +428,53 @@ class TestCli:
         assert "ssim" in out
         score = json.loads(out)
         assert 0.0 <= score["ssim"] <= 1.0
+
+    @pytest.mark.parametrize("line", ["grad_treshold = 9.0", "inputs = synth:1", "config = x.cfg"])
+    def test_config_file_unknown_key_rejected(self, line, tmp_path, capsys, monkeypatch):
+        calls = count_loads(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"width = 256\n{line}\n")
+        code = main(["pipeline", "synth:0", "--config", str(cfg), "--no-artifacts",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        key = line.split("=")[0].strip()
+        assert "\n" not in err and str(cfg) in err and repr(key) in err
+        assert not calls
+
+    @pytest.mark.parametrize("line", ["policy = desc", "policy_order = desc", "policy-order = desc"])
+    def test_config_file_policy_spellings(self, line, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"width = 256\n{line}\nno-artifacts = true\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "synth:0", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())[0]
+        assert report["policy_order"] == "descending_depth"
+
+    def test_config_file_bad_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("policy = sideways\n")
+        assert main(["pipeline", "synth:0", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "policy" in err and "sideways" in err
+
+    def test_untileable_window_fails_before_any_scan(self, tmp_path, capsys, monkeypatch):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["pipeline", "synth:0", "--width", "256", "--window-w", "3",
+                     "--out-dir", str(out), "--no-artifacts"])
+        assert code == 1
+        assert "does not tile" in capsys.readouterr().err
+        assert not calls and not out.exists()
+
+    def test_interp_checks_tiling_on_the_loaded_ri(self, tmp_path):
+        ri = tmp_path / "ri.npz"
+        assert main(["convert", "synth:0", str(ri), "--width", "400", "--height", "16"]) == 0
+        deg = tmp_path / "deg.npz"
+        assert main(["degrade", str(ri), str(deg)]) == 0
+        # 200 columns tile with 40-wide windows; 1024 (the default width / 2) would not
+        assert main(["interp", str(deg), str(tmp_path / "up.npz"), "--window-w", "40"]) == 0
+        assert main(["interp", str(deg), str(tmp_path / "up.npz"), "--window-w", "64"]) == 1
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep"

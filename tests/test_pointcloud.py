@@ -53,6 +53,13 @@ class TestReadKittiBin:
         with pytest.raises(OSError):
             read_kitti_bin(tmp_path / "missing.bin")
 
+    def test_non_finite_coordinates_name_the_file(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        path.write_bytes(struct.pack("<8f", 1, 2, 3, 0, 4, float("nan"), 6, 0))
+        with pytest.raises(ValueError, match="NaN or Inf") as err:
+            read_kitti_bin(path)
+        assert str(path) in str(err.value)
+
     def test_decode_bit_matches_source_bytes(self, tmp_path):
         rng = np.random.default_rng(7)
         values = rng.uniform(-80, 80, size=(64, 4)).astype("<f4")
@@ -120,6 +127,15 @@ class TestWritePly:
                   "property half w\nend_header\n")
         path.write_bytes(header.encode("ascii") + bytes(14))
         with pytest.raises(ValueError, match="half") as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+
+    def test_read_ply_non_finite_coordinates_name_the_file(self, tmp_path):
+        path = tmp_path / "inf.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                  "property float x\nproperty float y\nproperty float z\nend_header\n")
+        path.write_bytes(header.encode("ascii") + struct.pack("<3f", 1, float("inf"), 3))
+        with pytest.raises(ValueError, match="NaN or Inf") as err:
             read_ply(path)
         assert str(path) in str(err.value)
 

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
-from riterp import KITTI_GEOMETRY, cloud_to_ri, occupancy, synth_scene
+from riterp import KITTI_GEOMETRY, RiGeometry, cloud_to_ri, occupancy, synth_scene
+from riterp import synth
+
+SMALL_GEOMETRY = RiGeometry(width=256, height=16, pitch_max=2.0, pitch_min=-24.8,
+                            min_depth=2.0, max_depth=120.0)
 
 
 class TestSynthScene:
@@ -30,3 +35,58 @@ class TestSynthScene:
     def test_projection_occupancy(self):
         ri = cloud_to_ri(synth_scene(0), KITTI_GEOMETRY)
         assert occupancy(ri) > 0.3
+
+
+def culled_hits(geom, dirs, bmin, bmax):
+    """A box's per-ray depth as synth_scene computes it: slab-tested only
+    over _box_columns, inf elsewhere."""
+    grid_dirs = dirs.reshape(geom.height, geom.width, 3)
+    cols = synth._box_columns(geom, bmin, bmax)
+    depth = np.full((geom.height, geom.width), np.inf)
+    depth[:, cols] = synth._box_hits(grid_dirs[:, cols].reshape(-1, 3), bmin, bmax).reshape(geom.height, -1)
+    return depth.ravel()
+
+
+GEOMETRIES = pytest.mark.parametrize("geom", [KITTI_GEOMETRY, SMALL_GEOMETRY], ids=["kitti", "256x16"])
+
+
+class TestBoxCulling:
+    """Culled slab tests against the reference, _box_hits over every ray."""
+
+    @GEOMETRIES
+    def test_scene_boxes_equal_full_raycast(self, geom, monkeypatch):
+        boxes = []
+        columns = synth._box_columns
+
+        def recording(g, bmin, bmax):
+            boxes.append((bmin, bmax))
+            return columns(g, bmin, bmax)
+
+        monkeypatch.setattr(synth, "_box_columns", recording)
+        for seed in range(20):
+            synth_scene(seed, geom)
+        monkeypatch.undo()
+        assert len(boxes) >= 20 * 13
+        dirs = synth._ray_directions(geom)
+        for bmin, bmax in boxes:
+            assert np.array_equal(culled_hits(geom, dirs, bmin, bmax), synth._box_hits(dirs, bmin, bmax))
+
+    @GEOMETRIES
+    def test_box_across_the_seam(self, geom):
+        # behind the sensor, straddling yaw = +-pi
+        bmin, bmax = np.array([-12.0, -1.5, -1.8]), np.array([-10.0, 1.5, 0.5])
+        cols = synth._box_columns(geom, bmin, bmax)
+        assert 0 in cols and geom.width - 1 in cols and len(cols) < geom.width // 4
+        dirs = synth._ray_directions(geom)
+        full = synth._box_hits(dirs, bmin, bmax)
+        assert np.isfinite(full).any()
+        assert np.array_equal(culled_hits(geom, dirs, bmin, bmax), full)
+
+    @GEOMETRIES
+    def test_box_around_the_origin(self, geom):
+        bmin, bmax = np.array([-3.0, -2.0, -1.8]), np.array([4.0, 5.0, -1.0])
+        assert np.array_equal(synth._box_columns(geom, bmin, bmax), np.arange(geom.width))
+        dirs = synth._ray_directions(geom)
+        full = synth._box_hits(dirs, bmin, bmax)
+        assert np.isfinite(full).any()
+        assert np.array_equal(culled_hits(geom, dirs, bmin, bmax), full)
