@@ -12,7 +12,7 @@ from .gradient import (
     interpolate,
     upscale_gradient,
 )
-from .lossy import QuantizerSpec, downsample_ri, lossy_roundtrip, quantize
+from .lossy import QuantizerSpec, downsample_ri, quantize
 from .metrics import KdTree, QualityReport, chamfer, noise_ratio, ssim
 from .pipeline import PipelineConfig, ScanContext, evaluate, prepare_scan, run_pipeline, run_scan, sweep
 from .pointcloud import (
@@ -31,7 +31,6 @@ from .projection import (
     cloud_to_ri,
     load_ri,
     occupancy,
-    pixel_origins,
     ri_to_cloud,
     save_ri,
     write_pgm,

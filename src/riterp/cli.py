@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .gradient import ASCENDING, DESCENDING
+from .lossy import QuantizerSpec, downsample_ri, quantize
 from .metrics import chamfer, ssim
 from .pipeline import (
+    INTERP_COLOR,
     METHODS,
+    SOURCE_COLOR,
     PipelineConfig,
-    degrade_ri,
     interp_mask,
     load_scan,
     run_pipeline,
@@ -168,10 +170,9 @@ def _cmd_convert(args) -> int:
 
 def _cmd_degrade(args) -> int:
     ri = load_ri(args.input)
-    config = PipelineConfig(inputs=["-"], factor_x=args.factor_x, factor_y=args.factor_y,
-                            bits=args.bits, min_depth=ri.geometry.min_depth,
-                            max_depth=ri.geometry.max_depth)
-    out = degrade_ri(ri, config)
+    out = downsample_ri(ri, args.factor_x, args.factor_y)
+    if args.bits is not None:
+        out = quantize(out, QuantizerSpec(args.bits, ri.geometry.min_depth, ri.geometry.max_depth))
     save_ri(out, args.output)
     if args.pgm:
         write_pgm(out, Path(args.output).with_suffix(".pgm"))
@@ -206,10 +207,8 @@ def _cmd_reconstruct(args) -> int:
     cloud = ri_to_cloud(ri)
     color = None
     if args.mark_interp:
-        config = PipelineConfig(inputs=["-"], factor_x=args.factor_x, factor_y=args.factor_y)
-        mask = interp_mask(ri, config)
-        color = np.tile(np.array((200, 200, 200), dtype=np.uint8), (len(cloud), 1))
-        color[mask] = (255, 40, 40)
+        color = np.tile(np.array(SOURCE_COLOR, dtype=np.uint8), (len(cloud), 1))
+        color[interp_mask(ri, args)] = INTERP_COLOR
     write_ply(cloud, args.output, color=color)
     print(f"wrote {args.output} ({len(cloud)} points)")
     return 0

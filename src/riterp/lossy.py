@@ -76,8 +76,3 @@ def quantize(ri: RangeImage, q: QuantizerSpec) -> RangeImage:
     out = d.copy()
     out[occupied] = recon
     return RangeImage(ri.geometry, out)
-
-
-def lossy_roundtrip(ri: RangeImage, factor_x: int, factor_y: int, q: QuantizerSpec) -> RangeImage:
-    """Downsample then quantize: the degradation used in the experiments."""
-    return quantize(downsample_ri(ri, factor_x, factor_y), q)

@@ -1,14 +1,25 @@
 """2D and 3D fidelity metrics: SSIM over RIs, nearest-neighbor noise
-classification, and chamfer distance between clouds."""
+classification, and chamfer distance between clouds.
+
+Nearest neighbours are exact and use the range image as their index when
+both clouds come from RIs of one geometry: each point is compared with
+the other cloud's points in the 3 x 7 pixels around its own pixel
+(columns wrap at the +-pi seam). Every point outside that window lies on
+a ray at least theta = min(2 dphi, 2 asin(cos phi_max sin(2 dpsi))) away,
+so a window minimum below depth * sin(min(theta, pi/2)) is the exact
+answer. KdTree (scipy's cKDTree) resolves the points without that
+certificate, and every point when the geometries differ.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .pointcloud import PointCloud
-from .projection import RangeImage
+from .projection import RangeImage, RiGeometry
 
 SSIM_WINDOW = 8
 SSIM_K1 = 0.01
@@ -98,48 +109,145 @@ class KdTree:
         return np.atleast_1d(dist), np.atleast_1d(idx)
 
 
-def coincident_points(a: RangeImage, b: RangeImage) -> tuple[np.ndarray, np.ndarray] | None:
-    """Index pairs (ia, ib) into ri_to_cloud(a) and ri_to_cloud(b) of the
-    pixels the two RIs share: same geometry, same position, same depth.
-    ri_to_cloud emits the identical point for both. None when the
-    geometries differ."""
-    if a.geometry != b.geometry:
+#: half-extents (rows, columns) of the range-image window that nn_distances
+#: searches around each pixel: 3 rows x 7 columns
+WINDOW_ROWS = 1
+WINDOW_COLS = 3
+#: rows per band of the window pass, which bounds its scratch arrays
+_BAND_ROWS = 8
+#: relative slack on the certificate that absorbs rounding in the points
+#: and in the distances
+_CERT_SLACK = 1e-9
+
+
+def window_radius(geom: RiGeometry) -> float:
+    """Certified radius of the window search, per metre of depth.
+
+    Every pixel-centre ray outside a pixel's window is at least
+    theta = min(2 dphi, 2 asin(cos phi_max sin(2 dpsi))) away from the
+    pixel's own ray: two or more rows off means a pitch gap of at least
+    2 dphi (dphi the row pitch step), four or more columns off means a yaw
+    gap of at least 4 dpsi (dpsi = 2 pi / width), which the haversine
+    formula turns into that arc at any pitch up to phi_max. A point at
+    depth r is therefore at least r sin(min(theta, pi/2)) from any point
+    outside its window; this returns sin(min(theta, pi/2)).
+    """
+    d_pitch = math.radians(geom.pitch_span) / geom.height
+    d_yaw = 2 * math.pi / geom.width
+    cos_max = math.cos(math.radians(max(abs(geom.pitch_min), abs(geom.pitch_max))))
+    theta = min((WINDOW_ROWS + 1) * d_pitch,
+                2 * math.asin(cos_max * math.sin((WINDOW_COLS + 1) * d_yaw / 2)))
+    return math.sin(min(theta, math.pi / 2))
+
+
+def _coordinate_band(ri: RangeImage, points: np.ndarray, starts: np.ndarray, r0: int, r1: int,
+                     pad_cols: int) -> np.ndarray:
+    """(3, r1 - r0, W + 2 pad_cols) grid of x, y, z holding ri_to_cloud(ri)'s
+    points of rows r0 .. r1 - 1 at their pixels; NaN at EMPTY pixels and in
+    rows outside the image. `starts[v]` is the index of row v's first
+    point. Padding columns repeat the columns across the +-pi seam."""
+    w = ri.geometry.width
+    band = np.full((3, r1 - r0, w + 2 * pad_cols), np.nan)
+    lo, hi = max(r0, 0), min(r1, ri.geometry.height)
+    core = band[:, lo - r0:hi - r0, pad_cols:pad_cols + w]
+    occupied, inside = ri.occupied[lo:hi], points[starts[lo]:starts[hi]]
+    for axis in range(3):
+        core[axis][occupied] = inside[:, axis]
+    if pad_cols:
+        band[:, :, :pad_cols] = band[:, :, w:w + pad_cols]
+        band[:, :, -pad_cols:] = band[:, :, pad_cols:2 * pad_cols]
+    return band
+
+
+def _row_starts(ri: RangeImage) -> np.ndarray:
+    """Index of each row's first point in ri_to_cloud(ri), plus the total."""
+    return np.concatenate([[0], np.cumsum(np.count_nonzero(ri.occupied, axis=1))])
+
+
+def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray,
+                     pb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Nearest-neighbour distances that the range-image window certifies.
+
+    pa and pb are ri_to_cloud(a).points and ri_to_cloud(b).points. For
+    each point, the window minimum is the least distance to the other
+    cloud's points in the 3 x 7 pixels around its own pixel (columns wrap
+    at the +-pi seam, rows do not), computed as (dx^2 + dy^2) + dz^2 in
+    float64 like cKDTree. One pass over the 21 offsets, in bands of rows,
+    serves both directions, since d(p, q) = d(q, p). A minimum below the
+    point's depth times window_radius (less a 1e-9 slack for rounding) is
+    exact.
+
+    Returns (d_a, d_b), per point of each cloud: the exact distance where
+    certified, NaN elsewhere. None when the geometries differ or the image
+    is narrower than the window.
+    """
+    g = a.geometry
+    if g != b.geometry or g.width < 2 * WINDOW_COLS + 1:
         return None
-    same = a.occupied & (a.depth == b.depth)
-    return np.flatnonzero(same[a.occupied]), np.flatnonzero(same[b.occupied])
+    h, w = g.height, g.width
+    rr, cc = WINDOW_ROWS, WINDOW_COLS
+    starts_a, starts_b = _row_starts(a), _row_starts(b)
+    # squared window minima of b's pixels, padded like b's bands; the
+    # padding columns are folded back across the seam below
+    min_b = np.full((h + 2 * rr, w + 2 * cc), np.inf)
+    min_a = []  # squared window minima of a's points, band by band
+    for r0 in range(0, h, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, h)
+        band_a = _coordinate_band(a, pa, starts_a, r0, r1, 0)
+        band_b = _coordinate_band(b, pb, starts_b, r0 - rr, r1 + rr, cc)
+        band_min_a = np.full(band_a.shape[1:], np.inf)
+        diff = np.empty(band_a.shape)
+        d2 = np.empty(band_min_a.shape)
+        for dv in range(2 * rr + 1):
+            for du in range(2 * cc + 1):
+                np.subtract(band_a, band_b[:, dv:dv + r1 - r0, du:du + w], out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add(diff[0], diff[1], out=d2)
+                np.add(d2, diff[2], out=d2)
+                np.fmin(band_min_a, d2, out=band_min_a)  # fmin: NaN (EMPTY) loses
+                band_min_b = min_b[r0 + dv:r1 + dv, du:du + w]
+                np.fmin(band_min_b, d2, out=band_min_b)
+        min_a.append(band_min_a[a.occupied[r0:r1]])
+    core_b = min_b[rr:rr + h, cc:cc + w]
+    np.fmin(core_b[:, w - cc:], min_b[rr:rr + h, :cc], out=core_b[:, w - cc:])
+    np.fmin(core_b[:, :cc], min_b[rr:rr + h, w + cc:], out=core_b[:, :cc])
+
+    radius = window_radius(g) * (1.0 - _CERT_SLACK)
+    out = []
+    for ri, d2_min in ((a, np.concatenate(min_a)), (b, core_b[b.occupied])):
+        d = np.sqrt(d2_min)
+        d[~(d < ri.depth[ri.occupied] * radius)] = np.nan
+        out.append(d)
+    return tuple(out)
 
 
 def nn_distances(
     a: PointCloud,
     b: PointCloud,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
     tree_b: KdTree | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest-neighbor distances in both directions: a -> b and b -> a.
+    ris: tuple[RangeImage, RangeImage] | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact nearest-neighbour distances in both directions, a -> b and
+    b -> a, and the number of points the k-d tree resolved.
 
-    `pairs` optionally names index pairs (ia, ib) of points expected to be
-    identical in both clouds, as coincident_points() returns them. A pair
-    whose coordinates are bit-identical has distance exactly 0.0 in both
-    directions, so it is written as 0.0 and not queried; any other pair
-    is queried like every unpaired point. `tree_b`, a KdTree already built
-    over b, is used instead of building one.
+    `ris`, the range images that a and b were reconstructed from with
+    ri_to_cloud, lets window_distances settle most points; the k-d trees
+    resolve the rest, and every point when `ris` is None or the window
+    does not apply. `tree_b`, a KdTree already built over b, is used
+    instead of building one and is queried even with no point left; a
+    tree over a is built only if some point of b is left.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
-    query_a = np.ones(len(a), dtype=bool)
-    query_b = np.ones(len(b), dtype=bool)
-    if pairs is not None:
-        ia, ib = pairs
-        same = (a.points[ia] == b.points[ib]).all(axis=1)
-        query_a[ia[same]] = False
-        query_b[ib[same]] = False
-    d_ab = np.zeros(len(a))
-    d_ba = np.zeros(len(b))
+    found = window_distances(*ris, a.points, b.points) if ris is not None else None
+    d_ab, d_ba = found or (np.full(len(a), np.nan), np.full(len(b), np.nan))
+    ask_a, ask_b = np.isnan(d_ab), np.isnan(d_ba)
     if tree_b is None:
         tree_b = KdTree(b)
-    d_ab[query_a] = tree_b.query(a.points[query_a])[0]
-    d_ba[query_b] = KdTree(a).query(b.points[query_b])[0]
-    return d_ab, d_ba
+    d_ab[ask_a] = tree_b.query(a.points[ask_a])[0]
+    if ask_b.any():
+        d_ba[ask_b] = KdTree(a).query(b.points[ask_b])[0]
+    return d_ab, d_ba, int(np.count_nonzero(ask_a) + np.count_nonzero(ask_b))
 
 
 def noise_split(dist: np.ndarray, delta: float) -> tuple[float, int]:
@@ -176,4 +284,5 @@ def noise_ratio(interp_cloud: PointCloud, reference: PointCloud, delta: float) -
 
 def chamfer(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean nearest-neighbor distance between two clouds."""
-    return mean_chamfer(*nn_distances(a, b))
+    d_ab, d_ba, _ = nn_distances(a, b)
+    return mean_chamfer(d_ab, d_ba)

@@ -29,17 +29,9 @@ import numpy as np
 from .baselines import UpscaleSpec, upscale_baseline
 from .gradient import ASCENDING, InterpPolicy, upscale_gradient
 from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import KdTree, QualityReport, coincident_points, mean_chamfer, nn_distances, noise_split, ssim
+from .metrics import KdTree, QualityReport, mean_chamfer, nn_distances, noise_split, ssim
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
-from .projection import (
-    RangeImage,
-    RiGeometry,
-    cloud_to_ri,
-    occupancy,
-    pixel_origins,
-    ri_to_cloud,
-    write_pgm,
-)
+from .projection import RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud, write_pgm
 from .synth import synth_scene
 
 METHODS = ("none", "bilinear", "bicubic", "lanczos3", "gradient")
@@ -167,14 +159,15 @@ def upscale_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage | None:
     return upscale_baseline(ri, spec)
 
 
-def interp_mask(ri: RangeImage, config: PipelineConfig) -> np.ndarray:
+def interp_mask(ri: RangeImage, config) -> np.ndarray:
     """Per-point flags for ri_to_cloud output: True where the pixel was
-    created by upscaling (odd column/row origin)."""
-    rows, cols = pixel_origins(ri)
-    mask = cols % config.factor_x != 0
-    if config.factor_y > 1:
-        mask |= rows % config.factor_y != 0
-    return mask
+    created by upscaling (column or row not a multiple of its factor).
+    config is a PipelineConfig or anything else with factor_x and
+    factor_y."""
+    if config.factor_x < 1 or config.factor_y < 1:
+        raise ValueError(f"factors must be >= 1, got ({config.factor_x}, {config.factor_y})")
+    rows, cols = np.nonzero(ri.occupied)
+    return (cols % config.factor_x != 0) | (rows % config.factor_y != 0)
 
 
 def _timed(timings: dict[str, float], stage: str, fn, *args):
@@ -216,6 +209,16 @@ def _filter_nonempty(spec: str, cloud: PointCloud, config: PipelineConfig) -> Po
     return cloud
 
 
+def _project_nonempty(spec: str, cloud: PointCloud, config: PipelineConfig) -> RangeImage:
+    ri = cloud_to_ri(cloud, config.geometry)
+    if not ri.occupied.any():
+        g = config.geometry
+        raise ValueError(f"{spec}: no points fall inside the geometry's vertical FOV "
+                         f"[{g.pitch_min}, {g.pitch_max}] deg and depth clamp "
+                         f"[{g.min_depth}, {g.max_depth}]")
+    return ri
+
+
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     """Run ingest, filter and project on one input, and build the
     reference cloud and its k-d tree. Raises StageError with the failing
@@ -224,7 +227,7 @@ def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     timings: dict[str, float] = {}
     cloud = _timed(timings, "ingest", load_scan, spec)
     cloud = _timed(timings, "filter", _filter_nonempty, spec, cloud, config)
-    ref_ri = _timed(timings, "project", cloud_to_ri, cloud, config.geometry)
+    ref_ri = _timed(timings, "project", _project_nonempty, spec, cloud, config)
     ref_cloud = _timed(timings, "reconstruct", ri_to_cloud, ref_ri)
     ref_tree = _timed(timings, "score", KdTree, ref_cloud)
     return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_cloud,
@@ -265,9 +268,10 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
             # un-quantized decimation of the reference
             ssim_ref = downsample_ri(ref_ri, config.factor_x, config.factor_y)
         ssim_score = ssim(test_ri, ssim_ref)
-        # one exact query per direction; pixels both RIs share score 0.0 unqueried
-        d_test, d_ref = nn_distances(test_cloud, ref_cloud, coincident_points(test_ri, ref_ri),
-                                     ctx.ref_tree)
+        # exact distances per direction: the range-image window where it
+        # certifies them, the k-d trees for the rest
+        d_test, d_ref, n_fallback = nn_distances(test_cloud, ref_cloud, ctx.ref_tree,
+                                                 (test_ri, ref_ri))
         if mask is not None:
             ratio, densify = noise_split(d_test[mask], config.delta)
             n_interp = int(np.count_nonzero(mask))
@@ -275,9 +279,9 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
             ratio, densify, n_interp = None, 0, 0
         cd = mean_chamfer(d_test, d_ref)
         return QualityReport(ssim=ssim_score, noise_ratio=ratio, chamfer=cd,
-                             densify_count=densify), n_interp
+                             densify_count=densify), n_interp, n_fallback
 
-    quality, n_interp = _timed(timings, "score", score)
+    quality, n_interp, n_fallback = _timed(timings, "score", score)
     for stage, ms in ctx.pending_ms.items():
         timings[stage] += ms
     ctx.pending_ms = {}
@@ -291,6 +295,7 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     report["test_occupancy"] = occupancy(test_ri)
     report["points_in"] = ctx.points_in
     report["points_out"] = len(test_cloud)
+    report["nn_fallback_points"] = n_fallback
     for stage, ms in timings.items():
         report[f"time_{stage}_ms"] = ms
 

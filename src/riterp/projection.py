@@ -134,8 +134,8 @@ def pixel_center_angles(geom: RiGeometry, v: np.ndarray, u: np.ndarray):
 def ri_to_cloud(ri: RangeImage) -> PointCloud:
     """Emit one point per non-empty pixel along the pixel-center ray.
 
-    Output order is row-major over the grid; pixel_origins() returns the
-    matching (row, column) indices.
+    Output order is row-major over the grid; np.nonzero(ri.occupied)
+    gives the matching (row, column) indices.
     """
     v, u = np.nonzero(ri.occupied)
     r = ri.depth[v, u]
@@ -146,12 +146,6 @@ def ri_to_cloud(ri: RangeImage) -> PointCloud:
         axis=1,
     )
     return PointCloud(points=points)
-
-
-def pixel_origins(ri: RangeImage) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of non-empty pixels in ri_to_cloud's emission order."""
-    v, u = np.nonzero(ri.occupied)
-    return v, u
 
 
 def occupancy(ri: RangeImage) -> float:

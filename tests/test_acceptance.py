@@ -36,7 +36,6 @@ from riterp import (
 from riterp import filter_by_range
 from riterp.gradient import InterpPolicy
 from riterp.pipeline import degrade_ri, interp_mask, load_scan
-from riterp.projection import pixel_origins
 
 from conftest import kitti_scans, random_ri
 from oracles import brute_nn_dists, brute_upscale
@@ -202,7 +201,7 @@ def test_criterion_5_projection_roundtrip_fixed_point():
         c1 = ri_to_cloud(r1)
         r2 = cloud_to_ri(c1, config.geometry)
         assert np.array_equal(r1.depth, r2.depth), f"{spec}: round trip not a fixed point"
-        v, u = pixel_origins(r1)
+        v, u = np.nonzero(r1.occupied)
         ranges = np.linalg.norm(c1.points, axis=1).astype(np.float32).astype(np.float64)
         assert np.array_equal(ranges, r1.depth[v, u]), f"{spec}: depths changed"
     print("\nACCEPTANCE 5 (projection round trip bit-identical on "

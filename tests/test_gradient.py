@@ -13,7 +13,6 @@ from riterp import (
     downsample_ri,
     explore_windows,
     interpolate,
-    pixel_origins,
     ri_to_cloud,
     upscale_gradient,
 )
@@ -242,7 +241,7 @@ class TestInvariants:
         deg = downsample_ri(synth_ri, 2, 1)
         out = upscale_gradient(deg, 32, 4, InterpPolicy(gradient_threshold=thr))
         cloud = ri_to_cloud(out)
-        rows, cols = pixel_origins(out)
+        rows, cols = np.nonzero(out.occupied)
         pts = cloud.points
         index = {(r, c): i for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
         arc_step = math.pi / deg.geometry.width

@@ -6,7 +6,6 @@ from riterp import (
     RangeImage,
     RiGeometry,
     downsample_ri,
-    lossy_roundtrip,
     occupancy,
     quantize,
 )
@@ -139,25 +138,32 @@ class TestQuantize:
 
 
 class TestLossyRoundtrip:
+    """Downsample then quantize, the degradation used in the experiments,
+    checked against the plain depth arrays."""
+
     def test_near_identity_at_16_bits(self, synth_ri):
         q = QuantizerSpec(bits=16, min_depth=2.0, max_depth=120.0)
-        out = lossy_roundtrip(synth_ri, 1, 1, q)
-        diff = np.abs(out.depth - synth_ri.depth)[synth_ri.occupied[...]]
+        out = quantize(downsample_ri(synth_ri, 1, 1), q)
+        diff = np.abs(out.depth - synth_ri.depth)[synth_ri.occupied]
         assert diff.max() <= q.step  # one 16-bit step per pixel
 
     def test_composition_matches_stages(self, synth_ri):
         q = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-        combined = lossy_roundtrip(synth_ri, 2, 1, q)
-        staged = quantize(downsample_ri(synth_ri, 2, 1), q)
-        assert np.array_equal(combined.depth, staged.depth)
+        out = quantize(downsample_ri(synth_ri, 2, 1), q)
+        kept = synth_ri.depth[:, ::2]
+        occupied = kept != 0.0
+        code = np.rint((kept[occupied] - 2.0) / 118.0 * 254)
+        expected = np.zeros_like(kept)
+        expected[occupied] = np.minimum(2.0 + (code * 118.0) / 254, 120.0)
+        assert np.array_equal(out.depth, expected)
 
     def test_deterministic(self, synth_ri):
         q = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-        a = lossy_roundtrip(synth_ri, 2, 1, q)
-        b = lossy_roundtrip(synth_ri, 2, 1, q)
+        a = quantize(downsample_ri(synth_ri, 2, 1), q)
+        b = quantize(downsample_ri(synth_ri, 2, 1), q)
         assert np.array_equal(a.depth, b.depth)
 
     def test_empty_never_flips(self, synth_ri):
         q = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-        out = lossy_roundtrip(synth_ri, 2, 1, q)
-        assert np.array_equal(out.occupied, downsample_ri(synth_ri, 2, 1).occupied)
+        out = quantize(downsample_ri(synth_ri, 2, 1), q)
+        assert np.array_equal(out.occupied, synth_ri.depth[:, ::2] != 0.0)

@@ -13,7 +13,8 @@ from riterp import (
     ri_to_cloud,
     ssim,
 )
-from riterp.metrics import coincident_points, nn_distances
+from riterp import metrics
+from riterp.metrics import nn_distances, window_distances
 
 from conftest import random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
@@ -193,26 +194,43 @@ class TestChamfer:
 
 
 class TestNnDistances:
-    def test_pairs_skip_only_identical_points(self):
-        rng = np.random.default_rng(14)
-        a = rng.uniform(-10, 10, size=(60, 3))
-        b = rng.uniform(-10, 10, size=(40, 3))
-        b[:10] = a[:10]
-        b[10] = a[10] + 1e-9  # paired but not identical: must still be queried
-        pairs = (np.arange(11), np.arange(11))
-        d_ab, d_ba = nn_distances(PointCloud(points=a), PointCloud(points=b), pairs)
-        assert np.array_equal(d_ab, brute_nn_dists(a, b))
-        assert np.array_equal(d_ba, brute_nn_dists(b, a))
-
-    def test_coincident_points_pair_shared_pixels(self):
+    def test_shared_pixels_score_zero_in_the_window(self):
         rng = np.random.default_rng(15)
         a = random_ri(rng, GEOM_16)
         b = random_ri(rng, GEOM_16)
         b.depth[:8] = a.depth[:8]
-        ia, ib = coincident_points(a, b)
-        assert ia.size == np.count_nonzero(a.occupied[:8])
-        assert np.array_equal(ri_to_cloud(a).points[ia], ri_to_cloud(b).points[ib])
-        assert coincident_points(a, downsample_ri(b, 2, 1)) is None
+        d_a, d_b = window_distances(a, b, ri_to_cloud(a).points, ri_to_cloud(b).points)
+        shared = np.count_nonzero(a.occupied[:8])  # rows 0-7 come first in cloud order
+        assert np.all(d_a[:shared] == 0.0) and np.all(d_b[:shared] == 0.0)
+        assert window_distances(a, downsample_ri(b, 2, 1), ri_to_cloud(a).points,
+                                ri_to_cloud(downsample_ri(b, 2, 1)).points) is None
+
+    def test_equal_brute_force_with_and_without_range_images(self):
+        rng = np.random.default_rng(14)
+        a = random_ri(rng, GEOM_16)
+        b = random_ri(rng, GEOM_16)
+        b.depth[::2] = a.depth[::2]
+        ca, cb = ri_to_cloud(a), ri_to_cloud(b)
+        total = len(ca) + len(cb)
+        d_ab, d_ba, fallback = nn_distances(ca, cb, ris=(a, b))
+        assert np.array_equal(d_ab, brute_nn_dists(ca.points, cb.points))
+        assert np.array_equal(d_ba, brute_nn_dists(cb.points, ca.points))
+        assert 0 < fallback < total
+        plain = nn_distances(ca, cb)
+        assert np.array_equal(plain[0], d_ab) and np.array_equal(plain[1], d_ba)
+        assert plain[2] == total
+
+    def test_given_tree_is_queried_even_with_nothing_left(self, monkeypatch):
+        a = random_ri(np.random.default_rng(16), GEOM_16)
+        cloud = ri_to_cloud(a)
+        tree = KdTree(cloud)
+        queried = []
+        monkeypatch.setattr(tree, "query", lambda pts: queried.append(len(pts)) or (np.zeros(0), None))
+        built = []
+        monkeypatch.setattr(metrics, "KdTree", lambda c: built.append(c))
+        d_ab, d_ba, fallback = nn_distances(cloud, cloud, tree, (a, a))
+        assert queried == [0] and not built and fallback == 0
+        assert not d_ab.any() and not d_ba.any()
 
 
 class TestQualityReport:

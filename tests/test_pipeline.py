@@ -8,14 +8,18 @@ from scipy.spatial import cKDTree
 
 from riterp import (
     PipelineConfig,
+    RiGeometry,
     PointCloud,
     cloud_to_ri,
     downsample_ri,
     filter_by_range,
+    load_ri,
     noise_ratio,
-    pixel_origins,
+    quantize,
+    QuantizerSpec,
     ri_to_cloud,
     run_scan,
+    save_ri,
     ssim,
     sweep,
     synth_scene,
@@ -24,7 +28,11 @@ from riterp import (
 )
 from riterp import pipeline
 from riterp.cli import main
+from riterp.metrics import window_distances
 from riterp.pipeline import (
+    INTERP_COLOR,
+    METHODS,
+    SOURCE_COLOR,
     STAGES,
     StageError,
     degrade_ri,
@@ -69,6 +77,14 @@ def same_stem_scans(tmp_path) -> list[str]:
         write_kitti_bin(synth_scene(0), tmp_path / sub / "scan.bin")
         specs.append(str(tmp_path / sub / "scan.bin"))
     return specs
+
+
+def above_fov_scan(tmp_path) -> str:
+    """A .bin whose two points pass the range filter but lie above the
+    default geometry's pitch_max."""
+    path = tmp_path / "above.bin"
+    write_kitti_bin(PointCloud(points=[[10.0, 0.0, 10.0], [0.0, 20.0, 30.0]]), path)
+    return str(path)
 
 
 class TestConfigValidation:
@@ -146,7 +162,7 @@ class TestRunScan:
         up = upscale_gradient(deg, config.window_w, config.window_h, config.policy)
         ref_cloud = ri_to_cloud(ref)
         test_cloud = ri_to_cloud(up)
-        _, cols = pixel_origins(up)
+        _, cols = np.nonzero(up.occupied)
         interp = PointCloud(points=test_cloud.points[cols % 2 != 0])
         ratio, densify = noise_ratio(interp, ref_cloud, config.delta)
 
@@ -184,6 +200,34 @@ class TestRunScan:
             run_scan(str(path), small_config(inputs=[str(path)]))
         assert err.value.stage == "filter"
         assert not scored
+
+    def test_no_point_inside_the_fov_stops_at_project(self, tmp_path, monkeypatch):
+        spec = above_fov_scan(tmp_path)
+        scored = []
+        monkeypatch.setattr(pipeline, "KdTree", lambda cloud: scored.append(cloud))
+        with pytest.raises(StageError) as err:
+            run_scan(spec, small_config(inputs=[spec]))
+        assert err.value.stage == "project"
+        assert spec in str(err.value) and "vertical FOV" in str(err.value)
+        assert "\n" not in str(err.value)
+        assert not scored
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scoring_accounting_conserves_points(self, method):
+        """Window-certified points plus nn_fallback_points are every point
+        of both clouds; method none scores at another geometry, so the
+        k-d trees resolve every point."""
+        report, artifacts = run_scan("synth:3", small_config(inputs=["synth:3"], method=method))
+        test_ri = artifacts["degraded"] if artifacts["upscaled"] is None else artifacts["upscaled"]
+        test_cloud, ref_cloud = artifacts["test_cloud"][0], artifacts["ref_cloud"][0]
+        found = window_distances(test_ri, artifacts["reference"], test_cloud.points, ref_cloud.points)
+        certified = 0 if found is None else sum(int(np.count_nonzero(~np.isnan(d))) for d in found)
+        total = report["points_out"] + len(ref_cloud)
+        assert certified + report["nn_fallback_points"] == total
+        if method == "none":
+            assert found is None and report["nn_fallback_points"] == total
+        else:
+            assert 0 < report["nn_fallback_points"] < total // 4
 
     def test_evaluate_rejects_context_of_other_prefix(self):
         ctx = prepare_scan("synth:0", small_config(inputs=["synth:0"]))
@@ -368,6 +412,15 @@ class TestSweep:
         assert rows[1]["error"] == ""
         assert calls == ["synth:0"]
 
+    def test_no_point_inside_the_fov_gives_error_row_per_cell(self, tmp_path, monkeypatch):
+        spec = above_fov_scan(tmp_path)
+        evaluated = []
+        monkeypatch.setattr(pipeline, "evaluate", lambda *args: evaluated.append(args))
+        rows = sweep(small_config(inputs=[spec]), {"method": ["bilinear", "gradient"]})
+        assert len(rows) == 2 and not evaluated
+        for row in rows:
+            assert "stage 'project'" in row["error"] and spec in row["error"]
+
     def test_noise_monotone_in_threshold(self):
         # stricter thresholds admit fewer risky fills
         config = small_config(inputs=["synth:0"], method="gradient")
@@ -484,6 +537,44 @@ class TestCli:
         assert code == 0
         text = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(text) == 1 + 4  # header + 2 methods x 2 thresholds
+
+    @pytest.fixture
+    def ri_512x16(self, tmp_path):
+        geom = RiGeometry(width=512, height=16, pitch_max=2.0, pitch_min=-24.8,
+                          min_depth=2.0, max_depth=120.0)
+        ri = cloud_to_ri(synth_scene(0), geom)
+        path = tmp_path / "ri.npz"
+        save_ri(ri, path)
+        return ri, path
+
+    @pytest.mark.parametrize("bits", [None, 8])
+    def test_degrade_any_factors(self, ri_512x16, bits, tmp_path):
+        ri, path = ri_512x16
+        out = tmp_path / "deg.npz"
+        argv = ["degrade", str(path), str(out), "--factor-x", "4", "--factor-y", "2"]
+        assert main(argv + ([] if bits is None else ["--bits", str(bits)])) == 0
+        expected = downsample_ri(ri, 4, 2)
+        if bits is not None:
+            expected = quantize(expected, QuantizerSpec(bits, 2.0, 120.0))
+        assert np.array_equal(load_ri(out).depth, expected.depth)
+        assert load_ri(out).geometry == expected.geometry
+
+    def test_reconstruct_marks_interp_at_any_factors(self, ri_512x16, tmp_path):
+        ri, path = ri_512x16
+        ply = tmp_path / "marked.ply"
+        assert main(["reconstruct", str(path), str(ply), "--mark-interp", "--factor-x", "4"]) == 0
+        raw = ply.read_bytes()
+        body = raw[raw.index(b"end_header\n") + len(b"end_header\n"):]
+        vertex = np.frombuffer(body, dtype=[("xyz", "<f4", 3), ("rgb", "u1", 3)])
+        _, cols = np.nonzero(ri.occupied)
+        expected = np.where((cols % 4 != 0)[:, None], INTERP_COLOR, SOURCE_COLOR)
+        assert np.array_equal(vertex["rgb"], expected)
+
+    def test_reconstruct_rejects_a_zero_factor(self, ri_512x16, tmp_path, capsys):
+        _, path = ri_512x16
+        argv = ["reconstruct", str(path), str(tmp_path / "m.ply"), "--mark-interp", "--factor-x", "0"]
+        assert main(argv) == 1
+        assert "factors must be >= 1" in capsys.readouterr().err
 
     def test_score_without_pairs_fails(self):
         with pytest.raises(SystemExit):

@@ -11,7 +11,6 @@ from riterp import (
     RiGeometry,
     cloud_to_ri,
     occupancy,
-    pixel_origins,
     ri_to_cloud,
 )
 from riterp.projection import load_ri, save_ri, write_pgm
@@ -123,7 +122,7 @@ class TestRiToCloud:
 
     def test_depths_survive_reconstruction_exactly(self, synth_ri):
         cloud = ri_to_cloud(synth_ri)
-        v, u = pixel_origins(synth_ri)
+        v, u = np.nonzero(synth_ri.occupied)
         ranges32 = np.linalg.norm(cloud.points, axis=1).astype(np.float32)
         assert np.array_equal(ranges32.astype(np.float64), synth_ri.depth[v, u])
 
