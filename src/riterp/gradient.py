@@ -181,7 +181,7 @@ def _budget_mask(plan: InterpolationPlan) -> np.ndarray:
     return keep
 
 
-def interpolate(ri: RangeImage, plan: InterpolationPlan, factor_x: int = 2) -> RangeImage:
+def interpolate(ri: RangeImage, plan: InterpolationPlan) -> RangeImage:
     """Phase 2: double the width, copying sources and applying the plan.
 
     Output (v, 2u) = input (v, u); output (v, 2u + 1) receives the fill
@@ -190,8 +190,6 @@ def interpolate(ri: RangeImage, plan: InterpolationPlan, factor_x: int = 2) -> R
     window and is always EMPTY.
     """
     g = ri.geometry
-    if factor_x != 2:
-        raise ValueError(f"only 2x horizontal upscaling is supported, got {factor_x}")
     if (plan.source_width, plan.source_height) != (g.width, g.height):
         raise ValueError(
             f"plan was built for {plan.source_width}x{plan.source_height}, "

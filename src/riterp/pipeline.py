@@ -11,8 +11,9 @@ cloud reconstructed from the reference RI (which contains every source
 point the degraded image kept, when quantization is off).
 
 prepare_scan runs the stages that no degradation or interpolation setting
-changes (through the reference RI, its cloud and its k-d tree) once per
-scan; evaluate runs the rest for one config, so sweep cells share them.
+changes (through the reference RI, its cloud, its k-d tree and its half
+of SSIM) once per scan; evaluate runs the rest for one config, so sweep
+cells share them.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ import numpy as np
 from .baselines import UpscaleSpec, upscale_baseline
 from .gradient import ASCENDING, InterpPolicy, upscale_gradient
 from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import KdTree, QualityReport, mean_chamfer, nn_distances, noise_split, ssim
+from .metrics import (KdTree, QualityReport, mean_chamfer, nn_distances, noise_split, ssim,
+                      ssim_terms)
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud, write_pgm
 from .synth import synth_scene
@@ -79,6 +81,10 @@ class PipelineConfig:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        if (self.factor_x < 1 or self.factor_y < 1
+                or self.width % self.factor_x or self.height % self.factor_y):
+            raise ValueError(f"factors ({self.factor_x}, {self.factor_y}) must be >= 1 and "
+                             f"divide the RI {self.width}x{self.height}")
         if self.method == "gradient":
             if (self.factor_x, self.factor_y) != (2, 1):
                 raise ValueError(
@@ -197,6 +203,8 @@ class ScanContext:
     ref_ri: RangeImage
     ref_cloud: PointCloud
     ref_tree: KdTree
+    #: ssim_terms(ref_ri)
+    ref_ssim: tuple[np.ndarray, np.ndarray, np.ndarray]
     #: stage times spent building the context and not yet charged to a
     #: report; the first report evaluate() returns takes them
     pending_ms: dict[str, float]
@@ -221,17 +229,18 @@ def _project_nonempty(spec: str, cloud: PointCloud, config: PipelineConfig) -> R
 
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     """Run ingest, filter and project on one input, and build the
-    reference cloud and its k-d tree. Raises StageError with the failing
-    stage's name; the reference cloud counts as reconstruct time and the
-    tree as score time."""
+    reference cloud, its k-d tree and its SSIM terms. Raises StageError
+    with the failing stage's name; the reference cloud counts as
+    reconstruct time, the tree and the SSIM terms as score time."""
     timings: dict[str, float] = {}
     cloud = _timed(timings, "ingest", load_scan, spec)
     cloud = _timed(timings, "filter", _filter_nonempty, spec, cloud, config)
     ref_ri = _timed(timings, "project", _project_nonempty, spec, cloud, config)
     ref_cloud = _timed(timings, "reconstruct", ri_to_cloud, ref_ri)
     ref_tree = _timed(timings, "score", KdTree, ref_cloud)
+    ref_ssim = _timed(timings, "score", ssim_terms, ref_ri)
     return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_cloud,
-                       ref_tree, timings)
+                       ref_tree, ref_ssim, timings)
 
 
 def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
@@ -262,16 +271,15 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
 
     def score():
         if up_ri is not None:
-            ssim_ref = ref_ri
+            ssim_score = ssim(test_ri, ref_ri, ctx.ref_ssim)
         else:
             # no upscale: compare at the degraded resolution against the
             # un-quantized decimation of the reference
-            ssim_ref = downsample_ri(ref_ri, config.factor_x, config.factor_y)
-        ssim_score = ssim(test_ri, ssim_ref)
-        # exact distances per direction: the range-image window where it
-        # certifies them, the k-d trees for the rest
-        d_test, d_ref, n_fallback = nn_distances(test_cloud, ref_cloud, ctx.ref_tree,
-                                                 (test_ri, ref_ri))
+            ssim_score = ssim(test_ri, downsample_ri(ref_ri, config.factor_x, config.factor_y))
+        # exact distances per direction: the range-image windows where they
+        # certify them, the k-d trees for the rest
+        d_test, d_ref, n_fallback, n_tree = nn_distances(test_cloud, ref_cloud, ctx.ref_tree,
+                                                         (test_ri, ref_ri))
         if mask is not None:
             ratio, densify = noise_split(d_test[mask], config.delta)
             n_interp = int(np.count_nonzero(mask))
@@ -279,9 +287,9 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
             ratio, densify, n_interp = None, 0, 0
         cd = mean_chamfer(d_test, d_ref)
         return QualityReport(ssim=ssim_score, noise_ratio=ratio, chamfer=cd,
-                             densify_count=densify), n_interp, n_fallback
+                             densify_count=densify), n_interp, n_fallback, n_tree
 
-    quality, n_interp, n_fallback = _timed(timings, "score", score)
+    quality, n_interp, n_fallback, n_tree = _timed(timings, "score", score)
     for stage, ms in ctx.pending_ms.items():
         timings[stage] += ms
     ctx.pending_ms = {}
@@ -296,6 +304,7 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     report["points_in"] = ctx.points_in
     report["points_out"] = len(test_cloud)
     report["nn_fallback_points"] = n_fallback
+    report["nn_tree_points"] = n_tree
     for stage, ms in timings.items():
         report[f"time_{stage}_ms"] = ms
 

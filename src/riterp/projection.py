@@ -7,6 +7,7 @@ column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,16 @@ class RiGeometry:
     @property
     def pitch_span(self) -> float:
         return self.pitch_max - self.pitch_min
+
+    @cached_property
+    def rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(cos, sin) of the pixel-centre pitch of each row, then of the
+        pixel-centre yaw of each column; computed once per geometry."""
+        yaw, pitch = pixel_center_angles(self, np.arange(self.height), np.arange(self.width))
+        table = (np.cos(pitch), np.sin(pitch), np.cos(yaw), np.sin(yaw))
+        for values in table:
+            values.flags.writeable = False
+        return table
 
 
 #: HDL-64E-like default: 2048 columns is roughly the native azimuth
@@ -139,12 +150,12 @@ def ri_to_cloud(ri: RangeImage) -> PointCloud:
     """
     v, u = np.nonzero(ri.occupied)
     r = ri.depth[v, u]
-    yaw, pitch = pixel_center_angles(ri.geometry, v, u)
-    cos_pitch = np.cos(pitch)
-    points = np.stack(
-        [r * cos_pitch * np.cos(yaw), r * cos_pitch * np.sin(yaw), r * np.sin(pitch)],
-        axis=1,
-    )
+    cos_pitch, sin_pitch, cos_yaw, sin_yaw = ri.geometry.rays
+    r_cos_pitch = r * cos_pitch[v]
+    points = np.empty((r.size, 3))
+    np.multiply(r_cos_pitch, cos_yaw[u], out=points[:, 0])
+    np.multiply(r_cos_pitch, sin_yaw[u], out=points[:, 1])
+    np.multiply(r, sin_pitch[v], out=points[:, 2])
     return PointCloud(points=points)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from riterp import KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, synth_scene
+from riterp import KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, metrics, synth_scene
 
 #: set RITERP_KITTI_DIR to a directory of Velodyne .bin scans to run the
 #: real-data tests; otherwise they skip and the synthetic path is used.
@@ -40,3 +40,17 @@ def random_ri(rng, geom: RiGeometry, empty_fraction: float = 0.3) -> RangeImage:
     depth = rng.uniform(geom.min_depth, geom.max_depth, size=(geom.height, geom.width))
     depth[rng.random(depth.shape) < empty_fraction] = 0.0
     return RangeImage(geom, depth)
+
+
+def count_test_trees(monkeypatch) -> list[int]:
+    """Record the size of every cloud metrics builds a KdTree over itself
+    (nn_distances' test-cloud tree; a tree passed in is not counted)."""
+    built = []
+
+    class Counting(metrics.KdTree):
+        def __init__(self, cloud):
+            built.append(len(cloud))
+            super().__init__(cloud)
+
+    monkeypatch.setattr(metrics, "KdTree", Counting)
+    return built

@@ -168,12 +168,6 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="plan"):
             interpolate(other, plan)
 
-    def test_only_factor_two_supported(self, small_geometry):
-        ri = random_ri(np.random.default_rng(2), small_geometry)
-        plan = explore_windows(ri, 4, 2)
-        with pytest.raises(ValueError, match="2x"):
-            interpolate(ri, plan, factor_x=4)
-
     def test_composition_equals_phases(self, synth_ri):
         deg = downsample_ri(synth_ri, 2, 1)
         policy = InterpPolicy(gradient_threshold=1.5)

@@ -212,13 +212,13 @@ class TestNnDistances:
         b.depth[::2] = a.depth[::2]
         ca, cb = ri_to_cloud(a), ri_to_cloud(b)
         total = len(ca) + len(cb)
-        d_ab, d_ba, fallback = nn_distances(ca, cb, ris=(a, b))
+        d_ab, d_ba, fallback, tree = nn_distances(ca, cb, ris=(a, b))
         assert np.array_equal(d_ab, brute_nn_dists(ca.points, cb.points))
         assert np.array_equal(d_ba, brute_nn_dists(cb.points, ca.points))
-        assert 0 < fallback < total
+        assert 0 < fallback < total and tree <= fallback
         plain = nn_distances(ca, cb)
         assert np.array_equal(plain[0], d_ab) and np.array_equal(plain[1], d_ba)
-        assert plain[2] == total
+        assert plain[2] == plain[3] == total
 
     def test_given_tree_is_queried_even_with_nothing_left(self, monkeypatch):
         a = random_ri(np.random.default_rng(16), GEOM_16)
@@ -228,8 +228,8 @@ class TestNnDistances:
         monkeypatch.setattr(tree, "query", lambda pts: queried.append(len(pts)) or (np.zeros(0), None))
         built = []
         monkeypatch.setattr(metrics, "KdTree", lambda c: built.append(c))
-        d_ab, d_ba, fallback = nn_distances(cloud, cloud, tree, (a, a))
-        assert queried == [0] and not built and fallback == 0
+        d_ab, d_ba, fallback, in_tree = nn_distances(cloud, cloud, tree, (a, a))
+        assert queried == [0] and not built and fallback == in_tree == 0
         assert not d_ab.any() and not d_ba.any()
 
 

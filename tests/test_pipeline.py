@@ -44,6 +44,8 @@ from riterp.pipeline import (
     upscale_ri,
 )
 
+from conftest import count_test_trees
+
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
 
 
@@ -114,6 +116,13 @@ class TestConfigValidation:
     def test_gradient_requires_2x1_factors(self):
         with pytest.raises(ValueError, match="2x horizontal"):
             PipelineConfig(method="gradient", factor_x=4)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("factors", [dict(factor_x=0), dict(factor_y=0), dict(factor_x=3),
+                                         dict(factor_y=3), dict(factor_x=-2)])
+    def test_factors_must_divide_the_ri_for_every_method(self, method, factors):
+        with pytest.raises(ValueError, match="factors"):
+            small_config(method=method, **factors)
 
     @pytest.mark.parametrize("window", [dict(window_w=3), dict(window_h=3), dict(window_w=1),
                                         dict(window_h=0), dict(width=100)])
@@ -215,8 +224,9 @@ class TestRunScan:
     @pytest.mark.parametrize("method", METHODS)
     def test_scoring_accounting_conserves_points(self, method):
         """Window-certified points plus nn_fallback_points are every point
-        of both clouds; method none scores at another geometry, so the
-        k-d trees resolve every point."""
+        of both clouds, and the k-d trees resolve at most the fallback
+        points (nn_tree_points); method none scores at another geometry,
+        so the k-d trees resolve every point."""
         report, artifacts = run_scan("synth:3", small_config(inputs=["synth:3"], method=method))
         test_ri = artifacts["degraded"] if artifacts["upscaled"] is None else artifacts["upscaled"]
         test_cloud, ref_cloud = artifacts["test_cloud"][0], artifacts["ref_cloud"][0]
@@ -224,10 +234,22 @@ class TestRunScan:
         certified = 0 if found is None else sum(int(np.count_nonzero(~np.isnan(d))) for d in found)
         total = report["points_out"] + len(ref_cloud)
         assert certified + report["nn_fallback_points"] == total
+        assert report["nn_tree_points"] <= report["nn_fallback_points"]
         if method == "none":
             assert found is None and report["nn_fallback_points"] == total
+            assert report["nn_tree_points"] == total
         else:
             assert 0 < report["nn_fallback_points"] < total // 4
+
+    @pytest.mark.parametrize("method", ["gradient", "bilinear"])
+    def test_no_test_cloud_tree_on_a_synth_scan(self, method, monkeypatch):
+        """The widening window certifies every reference point the 3 x 7
+        window leaves, so scoring builds no k-d tree over the test cloud."""
+        built = count_test_trees(monkeypatch)
+        config = PipelineConfig(inputs=["synth:0"], method=method, no_artifacts=True)
+        report, _ = run_scan("synth:0", config)
+        assert not built
+        assert 0 < report["nn_tree_points"] < report["nn_fallback_points"]
 
     def test_evaluate_rejects_context_of_other_prefix(self):
         ctx = prepare_scan("synth:0", small_config(inputs=["synth:0"]))
@@ -412,6 +434,14 @@ class TestSweep:
         assert rows[1]["error"] == ""
         assert calls == ["synth:0"]
 
+    def test_invalid_factor_cell_prepares_no_scan(self, monkeypatch):
+        calls = count_loads(monkeypatch)
+        config = small_config(inputs=["synth:0"], method="bilinear")
+        rows = sweep(config, {"factor_x": [3, 2]})
+        assert rows[0]["error"].startswith("config:") and "factors" in rows[0]["error"]
+        assert rows[1]["error"] == ""
+        assert calls == ["synth:0"]
+
     def test_no_point_inside_the_fov_gives_error_row_per_cell(self, tmp_path, monkeypatch):
         spec = above_fov_scan(tmp_path)
         evaluated = []
@@ -518,6 +548,15 @@ class TestCli:
                      "--out-dir", str(out), "--no-artifacts"])
         assert code == 1
         assert "does not tile" in capsys.readouterr().err
+        assert not calls and not out.exists()
+
+    def test_indivisible_factor_fails_before_any_scan(self, tmp_path, capsys, monkeypatch):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["pipeline", "synth:0", "--method", "bilinear", "--factor-x", "3",
+                     "--out-dir", str(out), "--no-artifacts"])
+        assert code == 1
+        assert "factors" in capsys.readouterr().err
         assert not calls and not out.exists()
 
     def test_interp_checks_tiling_on_the_loaded_ri(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riterp import (
     EMPTY,
@@ -13,7 +15,7 @@ from riterp import (
     occupancy,
     ri_to_cloud,
 )
-from riterp.projection import load_ri, save_ri, write_pgm
+from riterp.projection import load_ri, pixel_center_angles, save_ri, write_pgm
 
 from conftest import random_ri
 
@@ -150,6 +152,28 @@ class TestRiToCloud:
         half_pixel_diag = math.pi / g.width + math.radians(g.pitch_span) / (2 * g.height)
         bound = np.linalg.norm(out.points, axis=1) * half_pixel_diag + 1e-6
         assert (dist <= bound).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(2, 2049), height=st.integers(2, 70),
+       lo=st.integers(-890, 880), span=st.integers(1, 1780), seed=st.integers(0, 2**32 - 1))
+def test_ri_to_cloud_equals_per_point_trig(width, height, lo, span, seed):
+    """ri_to_cloud reads its rays from the geometry's tables; every point
+    is bit-identical to the per-point formula, seam columns included."""
+    geom = RiGeometry(width=width, height=height, pitch_min=lo / 10,
+                      pitch_max=min(lo + span, 890) / 10, min_depth=2.0, max_depth=120.0)
+    rng = np.random.default_rng(seed)
+    depth = rng.uniform(2.0, 120.0, (height, width))
+    depth[rng.random(depth.shape) < 0.3] = EMPTY
+    depth[:, [0, -1]] = rng.uniform(2.0, 120.0, (height, 2))
+    ri = RangeImage(geom, depth)
+    v, u = np.nonzero(ri.occupied)
+    r = ri.depth[v, u]
+    yaw, pitch = pixel_center_angles(geom, v, u)
+    cos_pitch = np.cos(pitch)
+    expected = np.stack([r * cos_pitch * np.cos(yaw), r * cos_pitch * np.sin(yaw),
+                         r * np.sin(pitch)], axis=1)
+    assert np.array_equal(ri_to_cloud(ri).points, expected)
 
 
 class TestOccupancy:
