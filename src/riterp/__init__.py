@@ -1,11 +1,10 @@
 """riterp: LiDAR range-image degradation, gradient-aware interpolation,
 and quality evaluation."""
 
-from .baselines import SUPPORT, UpscaleSpec, kernel_weights, upscale_baseline
+from .baselines import SUPPORT, UpscaleSpec, upscale_baseline
 from .gradient import (
     ASCENDING,
     DESCENDING,
-    CandidateSite,
     InterpolationPlan,
     InterpPolicy,
     explore_windows,
@@ -13,7 +12,7 @@ from .gradient import (
     upscale_gradient,
 )
 from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import KdTree, QualityReport, chamfer, noise_ratio, ssim
+from .metrics import KdTree, QualityReport, chamfer, ssim
 from .pipeline import PipelineConfig, ScanContext, evaluate, prepare_scan, run_pipeline, run_scan, sweep
 from .pointcloud import (
     PointCloud,

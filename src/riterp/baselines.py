@@ -54,19 +54,6 @@ class UpscaleSpec:
             raise ValueError(f"factors must be >= 1, got ({self.factor_x}, {self.factor_y})")
 
 
-def kernel_weights(method: str, phase: float) -> np.ndarray:
-    """Tap weights for sampling at source coordinate floor(s) + phase.
-
-    weights[i] multiplies source pixel floor(s) + (1 - support) + i, i.e.
-    taps run left to right; bilinear phase 0.0 gives [1.0, 0.0]. Weights
-    are normalized to unit sum (Lanczos lobes do not sum to 1 raw).
-    """
-    support = SUPPORT[method]
-    offsets = np.arange(1 - support, support + 1, dtype=np.float64)
-    w = _kernel(method, phase - offsets)
-    return w / w.sum()
-
-
 def _axis_taps(n_src: int, factor: int, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-output-index source indices and weights for one axis.
 

@@ -1,16 +1,23 @@
 """Command-line interface.
 
 Subcommands cover single stages (convert, degrade, interp, reconstruct,
-score, synth) and whole experiments (pipeline, sweep). Pipeline/sweep
-flags mirror PipelineConfig field names; a key=value config file can
-supply any of them, with the command line taking precedence.
+score, synth) and whole experiments (pipeline, sweep). Every flag that
+sets a pipeline knob is generated from a PipelineConfig field: it is
+spelled --<field-name-with-dashes> (policy_order is --policy) and takes
+its type and default from the field, so PipelineConfig is the one place
+a default is written. pipeline and sweep have a flag for every field but
+inputs, and a key=value config file can supply any of them, with the
+command line taking precedence. sweep takes one or more values for
+method, policy and grad_threshold, and runs their grid.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from .metrics import chamfer, ssim
 from .pipeline import (
     INTERP_COLOR,
     METHODS,
+    REPORT_FORMATS,
     SOURCE_COLOR,
     PipelineConfig,
     interp_mask,
@@ -35,38 +43,28 @@ from .synth import synth_scene
 
 _POLICY_NAMES = {"asc": ASCENDING, "desc": DESCENDING,
                  ASCENDING: ASCENDING, DESCENDING: DESCENDING}
+_DEFAULTS = PipelineConfig()
+_TYPES = get_type_hints(PipelineConfig)
+_CHOICES = {"method": METHODS, "policy_order": sorted(_POLICY_NAMES), "report_format": REPORT_FORMATS}
+#: the fields sweep takes one or more values of, and runs the grid over
+_SWEPT = ("method", "policy_order", "grad_threshold")
+_GEOMETRY = [f.name for f in fields(RiGeometry)]
+_FACTORS = ["factor_x", "factor_y"]
 
 
-def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=int, default=2048)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--pitch-max", type=float, default=2.0)
-    p.add_argument("--pitch-min", type=float, default=-24.8)
-    p.add_argument("--min-depth", type=float, default=2.0)
-    p.add_argument("--max-depth", type=float, default=120.0)
-
-
-def _add_pipeline_flags(p: argparse.ArgumentParser, sweep_mode: bool = False) -> None:
-    many = {"nargs": "+"} if sweep_mode else {}
-    p.add_argument("inputs", nargs="+", help="scan paths (.bin/.ply) or synth:<seed>")
-    p.add_argument("--config", help="key=value file supplying any flag default")
-    _add_geometry_flags(p)
-    p.add_argument("--range-min", type=float, default=2.0)
-    p.add_argument("--range-max", type=float, default=120.0)
-    p.add_argument("--factor-x", type=int, default=2)
-    p.add_argument("--factor-y", type=int, default=1)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--method", choices=METHODS, default="gradient", **({"nargs": "+"} if sweep_mode else {}))
-    p.add_argument("--window-w", type=int, default=32)
-    p.add_argument("--window-h", type=int, default=4)
-    p.add_argument("--policy", dest="policy_order", default="asc",
-                   choices=sorted(_POLICY_NAMES), **many)
-    p.add_argument("--grad-threshold", type=float, default=2.5, **many)
-    p.add_argument("--max-fills", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--out-dir", default="riterp-out")
-    p.add_argument("--report-format", choices=("json", "csv"), default="json")
-    p.add_argument("--no-artifacts", action="store_true")
+def _add_config_flags(p: argparse.ArgumentParser, names: list[str], sweep_mode: bool = False,
+                      **choices) -> None:
+    """One flag per named PipelineConfig field, taking the field's type
+    and default; choices narrows a field's allowed values. In sweep mode
+    the _SWEPT fields take one or more values."""
+    for name in names:
+        # the annotation's type, int for int | None
+        kind = next(t for t in get_args(_TYPES[name]) or [_TYPES[name]] if t is not type(None))
+        flag = "--policy" if name == "policy_order" else "--" + name.replace("_", "-")
+        options = {"action": "store_true"} if kind is bool else {
+            "type": kind, "choices": {**_CHOICES, **choices}.get(name),
+            "nargs": "+" if sweep_mode and name in _SWEPT else None}
+        p.add_argument(flag, dest=name, default=getattr(_DEFAULTS, name), **options)
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
@@ -117,22 +115,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     parser.set_defaults(**defaults)
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        inputs=list(args.inputs),
-        width=args.width, height=args.height,
-        pitch_max=args.pitch_max, pitch_min=args.pitch_min,
-        min_depth=args.min_depth, max_depth=args.max_depth,
-        range_min=args.range_min, range_max=args.range_max,
-        factor_x=args.factor_x, factor_y=args.factor_y, bits=args.bits,
-        method=args.method if isinstance(args.method, str) else args.method[0],
-        window_w=args.window_w, window_h=args.window_h,
-        policy_order=_POLICY_NAMES[args.policy_order if isinstance(args.policy_order, str) else args.policy_order[0]],
-        grad_threshold=args.grad_threshold if isinstance(args.grad_threshold, float) else args.grad_threshold[0],
-        max_fills=args.max_fills, delta=args.delta,
-        out_dir=args.out_dir, report_format=args.report_format,
-        no_artifacts=args.no_artifacts,
-    )
+def _config_from_args(args: argparse.Namespace, **override) -> PipelineConfig:
+    """The PipelineConfig of the parsed flags, with override applied. A
+    swept flag gives its first value; a field without a flag keeps its
+    default."""
+    values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
+    values.update({name: values[name][0] for name in _SWEPT if isinstance(values.get(name), list)})
+    values["policy_order"] = _POLICY_NAMES[values["policy_order"]]
+    return PipelineConfig(**{**values, **override})
 
 
 def _cmd_synth(args) -> int:
@@ -157,10 +147,7 @@ def _cmd_convert(args) -> int:
             write_kitti_bin(cloud, dst)
     elif dst.suffix in (".npz", ".pgm"):
         cloud = load_scan(str(src))
-        geom = RiGeometry(width=args.width, height=args.height,
-                          pitch_max=args.pitch_max, pitch_min=args.pitch_min,
-                          min_depth=args.min_depth, max_depth=args.max_depth)
-        ri = cloud_to_ri(cloud, geom)
+        ri = cloud_to_ri(cloud, RiGeometry(**{name: getattr(args, name) for name in _GEOMETRY}))
         save_ri(ri, dst) if dst.suffix == ".npz" else write_pgm(ri, dst)
     else:
         raise SystemExit(f"error: unsupported output format {dst.suffix!r}")
@@ -183,15 +170,9 @@ def _cmd_degrade(args) -> int:
 def _cmd_interp(args) -> int:
     ri = load_ri(args.input)
     # sized so that the degraded RI is the loaded one, for the tiling check
-    config = PipelineConfig(
-        inputs=["-"], method=args.method,
-        width=ri.geometry.width * args.factor_x, height=ri.geometry.height * args.factor_y,
-        factor_x=args.factor_x, factor_y=args.factor_y,
-        window_w=args.window_w, window_h=args.window_h,
-        policy_order=_POLICY_NAMES[args.policy_order],
-        grad_threshold=args.grad_threshold, max_fills=args.max_fills,
-        min_depth=ri.geometry.min_depth, max_depth=ri.geometry.max_depth,
-    )
+    g = ri.geometry
+    config = _config_from_args(args, **{**asdict(g), "width": g.width * args.factor_x,
+                                        "height": g.height * args.factor_y})
     out = upscale_ri(ri, config)
     if out is None:
         raise SystemExit("error: method 'none' produces no output")
@@ -242,13 +223,9 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    grid = {}
-    if isinstance(args.method, list):
-        grid["method"] = args.method
-    if isinstance(args.policy_order, list):
-        grid["policy_order"] = [_POLICY_NAMES[p] for p in args.policy_order]
-    if isinstance(args.grad_threshold, list):
-        grid["grad_threshold"] = args.grad_threshold
+    grid = {name: getattr(args, name) for name in _SWEPT if isinstance(getattr(args, name), list)}
+    if "policy_order" in grid:
+        grid["policy_order"] = [_POLICY_NAMES[p] for p in grid["policy_order"]]
     rows = sweep(base, grid)
     out = Path(base.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,7 +241,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="LiDAR range-image degradation, interpolation, and quality evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic scan")
     p.add_argument("--seed", type=int, default=0)
@@ -274,29 +250,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("convert", help="convert between .bin/.ply clouds and RI files")
     p.add_argument("input", help=".bin, .ply, or synth:<seed>")
     p.add_argument("output", help=".bin, .ply, .npz (RI), or .pgm (RI view)")
-    _add_geometry_flags(p)
+    _add_config_flags(p, _GEOMETRY)
     p.set_defaults(fn=_cmd_convert)
 
     p = sub.add_parser("degrade", help="decimate and optionally quantize an RI (.npz)")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--factor-x", type=int, default=2)
-    p.add_argument("--factor-y", type=int, default=1)
-    p.add_argument("--bits", type=int, default=None)
+    _add_config_flags(p, [*_FACTORS, "bits"])
     p.add_argument("--pgm", action="store_true", help="also write a .pgm view")
     p.set_defaults(fn=_cmd_degrade)
 
     p = sub.add_parser("interp", help="upscale an RI (.npz) with one method")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--method", choices=[m for m in METHODS if m != "none"], default="gradient")
-    p.add_argument("--factor-x", type=int, default=2)
-    p.add_argument("--factor-y", type=int, default=1)
-    p.add_argument("--window-w", type=int, default=32)
-    p.add_argument("--window-h", type=int, default=4)
-    p.add_argument("--policy", dest="policy_order", default="asc", choices=sorted(_POLICY_NAMES))
-    p.add_argument("--grad-threshold", type=float, default=2.5)
-    p.add_argument("--max-fills", type=int, default=None)
+    _add_config_flags(p, ["method", *_FACTORS, "window_w", "window_h", "policy_order",
+                          "grad_threshold", "max_fills"], method=[m for m in METHODS if m != "none"])
     p.add_argument("--pgm", action="store_true")
     p.set_defaults(fn=_cmd_interp)
 
@@ -305,8 +273,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("output")
     p.add_argument("--mark-interp", action="store_true",
                    help="color points from odd columns/rows as interpolated")
-    p.add_argument("--factor-x", type=int, default=2)
-    p.add_argument("--factor-y", type=int, default=1)
+    _add_config_flags(p, _FACTORS)
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("score", help="score RI pairs (SSIM) and cloud pairs (chamfer)")
@@ -316,17 +283,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--test-cloud")
     p.set_defaults(fn=_cmd_score)
 
-    p = sub.add_parser("pipeline", help="full experiment per scan, with report and artifacts")
-    _add_pipeline_flags(p)
-    p.set_defaults(fn=_cmd_pipeline)
-
-    p = sub.add_parser("sweep", help="pipeline over a grid of methods/policies/thresholds")
-    _add_pipeline_flags(p, sweep_mode=True)
-    p.set_defaults(fn=_cmd_sweep)
-
-    for name, action in sub.choices.items():
-        commands[name] = action
-    return parser, commands
+    for name, fn, about in [
+        ("pipeline", _cmd_pipeline, "full experiment per scan, with report and artifacts"),
+        ("sweep", _cmd_sweep, "pipeline over a grid of methods/policies/thresholds"),
+    ]:
+        p = sub.add_parser(name, help=about)
+        p.add_argument("inputs", nargs="+", help="scan paths (.bin/.ply) or synth:<seed>")
+        p.add_argument("--config", help="key=value file supplying any flag default")
+        _add_config_flags(p, [f.name for f in fields(PipelineConfig) if f.name != "inputs"],
+                          sweep_mode=name == "sweep")
+        p.set_defaults(fn=fn)
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,7 +19,6 @@ near objects first, descending fills far objects first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -50,29 +49,16 @@ class InterpPolicy:
             raise ValueError(f"gradient_threshold must be > 0, got {self.gradient_threshold}")
 
 
-@dataclass(frozen=True)
-class CandidateSite:
-    """One potential insertion between source pixels (row, col) and
-    (row, col + 1). For invalid sites fill_value and neighbor_depth are
-    computed from the raw grid values (EMPTY as 0.0) and are diagnostic
-    only; they are never applied."""
-
-    window_id: int
-    row: int
-    col: int
-    fill_value: float
-    neighbor_depth: float
-    valid: bool
-
-
 @dataclass
 class InterpolationPlan:
     """Exploration output: candidate sites sorted in policy order.
 
-    Sites are kept as parallel arrays (the interpolation phase is
-    vectorized); sites() yields CandidateSite views for inspection.
-    Ordering is monotone in neighbor_depth per policy.order with ties
-    broken by (row, col) ascending.
+    Sites are kept as parallel arrays, one entry per site between source
+    pixels (row, col) and (row, col + 1); the interpolation phase is
+    vectorized. For invalid sites fill_value and neighbor_depth are
+    computed from the raw grid values (EMPTY as 0.0) and are diagnostic
+    only; they are never applied. Ordering is monotone in neighbor_depth
+    per policy.order with ties broken by (row, col) ascending.
     """
 
     source_width: int
@@ -89,17 +75,6 @@ class InterpolationPlan:
 
     def __len__(self) -> int:
         return self.row.size
-
-    def sites(self) -> Iterator[CandidateSite]:
-        for i in range(len(self)):
-            yield CandidateSite(
-                window_id=int(self.window_id[i]),
-                row=int(self.row[i]),
-                col=int(self.col[i]),
-                fill_value=float(self.fill_value[i]),
-                neighbor_depth=float(self.neighbor_depth[i]),
-                valid=bool(self.valid[i]),
-            )
 
 
 def explore_windows(

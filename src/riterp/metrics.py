@@ -352,23 +352,6 @@ def mean_chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
     return float(0.5 * (d_ab.mean() + d_ba.mean()))
 
 
-def noise_ratio(interp_cloud: PointCloud, reference: PointCloud, delta: float) -> tuple[float, int]:
-    """Classify interpolated points against the reference cloud.
-
-    Returns (ratio, densify_count): the fraction of interpolated points
-    whose nearest reference point is farther than delta, and the count of
-    those within delta. An empty interpolated cloud scores (0.0, 0).
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if len(reference) == 0:
-        raise ValueError("reference cloud is empty")
-    if len(interp_cloud) == 0:
-        return 0.0, 0
-    dist, _ = KdTree(reference).query(interp_cloud)
-    return noise_split(dist, delta)
-
-
 def chamfer(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean nearest-neighbor distance between two clouds."""
     d_ab, d_ba, _, _ = nn_distances(a, b)

@@ -28,15 +28,18 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import UpscaleSpec, upscale_baseline
-from .gradient import ASCENDING, InterpPolicy, upscale_gradient
+from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, DEFAULT_WINDOW_W,
+                       InterpPolicy, upscale_gradient)
 from .lossy import QuantizerSpec, downsample_ri, quantize
 from .metrics import (KdTree, QualityReport, mean_chamfer, nn_distances, noise_split, ssim,
                       ssim_terms)
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
-from .projection import RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud, write_pgm
+from .projection import (KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud,
+                         write_pgm)
 from .synth import synth_scene
 
 METHODS = ("none", "bilinear", "bicubic", "lanczos3", "gradient")
+REPORT_FORMATS = ("json", "csv")
 
 #: every report row carries one time_<stage>_ms per stage, in this order
 STAGES = ("ingest", "filter", "project", "degrade", "interp", "reconstruct", "score")
@@ -52,22 +55,22 @@ class PipelineConfig:
     quantizer, policy) are enforced on construction."""
 
     inputs: list[str] = field(default_factory=list)
-    width: int = 2048
-    height: int = 64
-    pitch_max: float = 2.0
-    pitch_min: float = -24.8
-    min_depth: float = 2.0
-    max_depth: float = 120.0
+    width: int = KITTI_GEOMETRY.width
+    height: int = KITTI_GEOMETRY.height
+    pitch_max: float = KITTI_GEOMETRY.pitch_max
+    pitch_min: float = KITTI_GEOMETRY.pitch_min
+    min_depth: float = KITTI_GEOMETRY.min_depth
+    max_depth: float = KITTI_GEOMETRY.max_depth
     range_min: float = 2.0
     range_max: float = 120.0
     factor_x: int = 2
     factor_y: int = 1
     bits: int | None = None
     method: str = "gradient"
-    window_w: int = 32
-    window_h: int = 4
+    window_w: int = DEFAULT_WINDOW_W
+    window_h: int = DEFAULT_WINDOW_H
     policy_order: str = ASCENDING
-    grad_threshold: float = 2.5
+    grad_threshold: float = DEFAULT_GRADIENT_THRESHOLD
     max_fills: int | None = None
     delta: float = 0.5
     out_dir: str = "riterp-out"
@@ -77,7 +80,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.report_format not in ("json", "csv"):
+        if self.report_format not in REPORT_FORMATS:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")

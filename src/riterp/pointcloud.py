@@ -123,42 +123,13 @@ _PLY_TYPES = {
 
 def read_ply(path: str | Path) -> PointCloud:
     """Read vertex x/y/z from a binary_little_endian PLY (extra scalar
-    vertex properties are skipped)."""
+    vertex properties are skipped). A file this cannot read raises a
+    ValueError that names it."""
     with open(path, "rb") as fh:
-        line = fh.readline().strip()
-        if line != b"ply":
-            raise ValueError(f"{path}: not a PLY file")
-        fmt = None
-        count = None
-        names: list[str] = []
-        formats: list[str] = []
-        in_vertex = False
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated PLY header")
-            tokens = line.decode("ascii").strip().split()
-            if not tokens or tokens[0] == "comment":
-                continue
-            if tokens[0] == "format":
-                fmt = tokens[1]
-            elif tokens[0] == "element":
-                in_vertex = tokens[1] == "vertex"
-                if in_vertex:
-                    count = int(tokens[2])
-            elif tokens[0] == "property" and in_vertex:
-                if tokens[1] == "list":
-                    raise ValueError(f"{path}: list vertex properties unsupported")
-                if tokens[1] not in _PLY_TYPES:
-                    raise ValueError(f"{path}: unsupported PLY property type {tokens[1]!r}")
-                names.append(tokens[2])
-                formats.append(_PLY_TYPES[tokens[1]])
-            elif tokens[0] == "end_header":
-                break
-        if fmt != "binary_little_endian":
-            raise ValueError(f"{path}: expected binary_little_endian, got {fmt}")
-        if count is None or not {"x", "y", "z"} <= set(names):
-            raise ValueError(f"{path}: no vertex element with x/y/z properties")
+        try:
+            names, formats, count = _ply_header(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         data = np.fromfile(fh, dtype={"names": names, "formats": formats}, count=count)
     if data.shape[0] != count:
         raise ValueError(f"{path}: expected {count} vertices, read {data.shape[0]}")
@@ -167,6 +138,47 @@ def read_ply(path: str | Path) -> PointCloud:
          data["z"].astype(np.float64)], axis=1,
     )
     return _read_cloud(path, points)
+
+
+def _ply_header(fh) -> tuple[list[str], list[str], int]:
+    """Vertex property names, their numpy formats and the vertex count,
+    leaving fh at the first byte of the body."""
+    if fh.readline().strip() != b"ply":
+        raise ValueError("not a PLY file")
+    fmt = None
+    count = None
+    names: list[str] = []
+    formats: list[str] = []
+    in_vertex = False
+    while True:
+        line = fh.readline()
+        if not line:
+            raise ValueError("truncated PLY header")
+        tokens = line.decode("ascii").strip().split()
+        if not tokens or tokens[0] == "comment":
+            continue
+        if tokens[0] == "end_header":
+            break
+        if len(tokens) < {"format": 2, "element": 3, "property": 3}.get(tokens[0], 0):
+            raise ValueError(f"malformed PLY header line {line!r}")
+        if tokens[0] == "format":
+            fmt = tokens[1]
+        elif tokens[0] == "element":
+            in_vertex = tokens[1] == "vertex"
+            if in_vertex:
+                count = int(tokens[2])
+        elif tokens[0] == "property" and in_vertex:
+            if tokens[1] == "list":
+                raise ValueError("list vertex properties unsupported")
+            if tokens[1] not in _PLY_TYPES:
+                raise ValueError(f"unsupported PLY property type {tokens[1]!r}")
+            names.append(tokens[2])
+            formats.append(_PLY_TYPES[tokens[1]])
+    if fmt != "binary_little_endian":
+        raise ValueError(f"expected binary_little_endian, got {fmt}")
+    if count is None or not {"x", "y", "z"} <= set(names):
+        raise ValueError("no vertex element with x/y/z properties")
+    return names, formats, count
 
 
 def filter_by_range(cloud: PointCloud, min_r: float, max_r: float) -> PointCloud:

@@ -6,7 +6,7 @@ column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -178,21 +178,25 @@ def write_pgm(ri: RangeImage, path: str | Path) -> None:
 def save_ri(ri: RangeImage, path: str | Path) -> None:
     """Lossless on-disk RI (.npz) for chaining CLI stages."""
     g = ri.geometry
-    np.savez(
-        path, depth=ri.depth, width=g.width, height=g.height,
-        pitch_max=g.pitch_max, pitch_min=g.pitch_min,
-        min_depth=g.min_depth, max_depth=g.max_depth,
-    )
+    np.savez(path, depth=ri.depth, **{f.name: getattr(g, f.name) for f in fields(g)})
 
 
 def load_ri(path: str | Path) -> RangeImage:
+    """Read an RI written by save_ri. A missing key or an invalid geometry
+    or depth grid raises a ValueError that names the file."""
     with np.load(path) as data:
-        geom = RiGeometry(
-            width=int(data["width"]), height=int(data["height"]),
-            pitch_max=float(data["pitch_max"]), pitch_min=float(data["pitch_min"]),
-            min_depth=float(data["min_depth"]), max_depth=float(data["max_depth"]),
-        )
-        return RangeImage(geom, data["depth"])
+        for key in ["depth", *(f.name for f in fields(RiGeometry))]:
+            if key not in data.files:
+                raise ValueError(f"{path}: RI archive has no key {key!r}")
+        try:
+            geom = RiGeometry(
+                width=int(data["width"]), height=int(data["height"]),
+                pitch_max=float(data["pitch_max"]), pitch_min=float(data["pitch_min"]),
+                min_depth=float(data["min_depth"]), max_depth=float(data["max_depth"]),
+            )
+            return RangeImage(geom, data["depth"])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def scale_geometry(geom: RiGeometry, factor_x: float, factor_y: float = 1.0) -> RiGeometry:

@@ -166,20 +166,26 @@ def decode_kitti_bin(path) -> list[tuple[float, float, float, float]]:
 
 # ------------------------------------------------------- plan ordering
 
-def brute_sorted_sites(sites: list, order: str) -> list:
-    """Policy-order a list of CandidateSite by (key, row, col)."""
-    sign = 1.0 if order == "ascending_depth" else -1.0
-    return sorted(sites, key=lambda s: (sign * s.neighbor_depth, s.row, s.col))
+def _plan_sites(plan) -> list[tuple]:
+    """(policy key, row, col) of every site, read from the plan's parallel
+    arrays; the key sorts the policy's preferred site first."""
+    sign = 1.0 if plan.policy.order == "ascending_depth" else -1.0
+    return [(sign * d, r, c) for d, r, c in
+            zip(plan.neighbor_depth.tolist(), plan.row.tolist(), plan.col.tolist())]
 
 
-def brute_best_k_per_window(sites: list, order: str, k: int) -> set:
-    """(row, col) of the k best valid sites per window under the policy."""
-    chosen: set = set()
-    windows: dict[int, list] = {}
-    for site in sites:
-        if site.valid:
-            windows.setdefault(site.window_id, []).append(site)
-    for sites_in_window in windows.values():
-        best = brute_sorted_sites(sites_in_window, order)[:k]
-        chosen.update((s.row, s.col) for s in best)
-    return chosen
+def brute_sorted_sites(plan) -> list[tuple[int, int]]:
+    """(row, col) of every site of the plan, policy-ordered by a plain
+    sort on (key, row, col)."""
+    return [(r, c) for _, r, c in sorted(_plan_sites(plan))]
+
+
+def brute_best_k_per_window(plan, k: int) -> set:
+    """(row, col) of the k best valid sites per window under the policy,
+    with each site's window worked out from its pixel."""
+    windows: dict[tuple[int, int], list] = {}
+    for site, valid in zip(_plan_sites(plan), plan.valid.tolist()):
+        if valid:
+            _, r, c = site
+            windows.setdefault((r // plan.window_h, c // plan.window_w), []).append(site)
+    return {(r, c) for sites in windows.values() for _, r, c in sorted(sites)[:k]}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riterp import EMPTY, RangeImage, RiGeometry, UpscaleSpec, kernel_weights, upscale_baseline
+from riterp import EMPTY, SUPPORT, RangeImage, RiGeometry, UpscaleSpec, upscale_baseline
+from riterp.baselines import _axis_taps, _kernel
 
 from conftest import random_ri
 from oracles import brute_upscale
@@ -19,34 +20,44 @@ class TestUpscaleSpec:
             UpscaleSpec(factor_x=0, factor_y=1, method="bilinear")
 
 
+def taps_at(method: str, phase: float) -> np.ndarray:
+    """Raw kernel at phase minus each tap offset, taps left to right."""
+    return _kernel(method, phase - np.arange(1 - SUPPORT[method], SUPPORT[method] + 1))
+
+
 class TestKernelWeights:
     def test_lengths(self):
         for method, n in [("bilinear", 2), ("bicubic", 4), ("lanczos3", 6)]:
-            assert len(kernel_weights(method, 0.3)) == n
+            for factor in (1, 2, 3):
+                idx, w = _axis_taps(8, factor, method)
+                assert idx.shape == w.shape == (8 * factor, n)
 
     def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(0)
         for method in METHODS:
-            for phase in rng.uniform(0, 1, 25):
-                assert kernel_weights(method, phase).sum() == pytest.approx(1.0, abs=1e-6)
+            for factor in range(1, 8):
+                _, w = _axis_taps(8, factor, method)
+                np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_bilinear_phase_zero(self):
         # tap order is left to right: phase 0 weights the base pixel fully
-        np.testing.assert_array_equal(kernel_weights("bilinear", 0.0), [1.0, 0.0])
+        np.testing.assert_array_equal(taps_at("bilinear", 0.0), [1.0, 0.0])
+        idx, w = _axis_taps(4, 1, "bilinear")
+        np.testing.assert_array_equal(w, [[1.0, 0.0]] * 4)
+        np.testing.assert_array_equal(idx[:, 0], np.arange(4))
 
     def test_bilinear_midpoint_of_pair(self):
         # the interpolant evaluated midway between 4.0 and 8.0 gives 6.0
-        w = kernel_weights("bilinear", 0.5)
-        assert float(w @ [4.0, 8.0]) == pytest.approx(6.0)
+        assert float(taps_at("bilinear", 0.5) @ [4.0, 8.0]) == pytest.approx(6.0)
 
     def test_bicubic_half_phase(self):
         # Keys kernel (a=-0.5) evaluated analytically at |t| = 0.5, 1.5
-        w = kernel_weights("bicubic", 0.5)
-        np.testing.assert_allclose(w, [-0.0625, 0.5625, 0.5625, -0.0625], atol=1e-15)
+        np.testing.assert_allclose(taps_at("bicubic", 0.5),
+                                   [-0.0625, 0.5625, 0.5625, -0.0625], atol=1e-15)
 
     def test_lanczos3_phase_zero_is_delta(self):
-        w = kernel_weights("lanczos3", 0.0)
-        np.testing.assert_array_equal(w, [0, 0, 1.0, 0, 0, 0])
+        np.testing.assert_array_equal(taps_at("lanczos3", 0.0), [0, 0, 1.0, 0, 0, 0])
+        _, w = _axis_taps(6, 1, "lanczos3")
+        np.testing.assert_array_equal(w, np.tile([0, 0, 1.0, 0, 0, 0], (6, 1)))
 
 
 class TestUpscaleBaseline:

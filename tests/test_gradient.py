@@ -49,34 +49,32 @@ class TestExploreWindows:
     def test_small_gradient_pair_is_valid(self):
         ri = row_ri([4.0, 4.2])
         plan = explore_windows(ri, window_w=2, window_h=1, policy=InterpPolicy(gradient_threshold=2.5))
-        sites = [s for s in plan.sites() if s.row == 0]
-        assert len(sites) == 1
-        site = sites[0]
-        assert site.valid
-        assert site.fill_value == pytest.approx(4.1)
-        assert site.neighbor_depth == 4.0
+        row0 = plan.row == 0
+        assert row0.sum() == 1
+        assert plan.valid[row0][0]
+        assert plan.fill_value[row0][0] == pytest.approx(4.1)
+        assert plan.neighbor_depth[row0][0] == 4.0
 
     def test_empty_neighbor_invalidates(self):
         ri = row_ri([4.0, EMPTY])
         plan = explore_windows(ri, 2, 1, InterpPolicy())
-        sites = [s for s in plan.sites() if s.row == 0]
-        assert len(sites) == 1
-        assert not sites[0].valid
+        row0 = plan.row == 0
+        assert row0.sum() == 1
+        assert not plan.valid[row0][0]
 
     def test_threshold_gates_validity(self):
         ri = row_ri([4.0, 10.0])
         strict = explore_windows(ri, 2, 1, InterpPolicy(gradient_threshold=2.5))
-        assert not next(iter(strict.sites())).valid
+        assert not strict.valid.any()
         loose = explore_windows(ri, 2, 1, InterpPolicy(gradient_threshold=10.0))
-        site = next(s for s in loose.sites() if s.row == 0)
-        assert site.valid
-        assert site.fill_value == pytest.approx(7.0)
+        row0 = loose.row == 0
+        assert loose.valid[row0][0]
+        assert loose.fill_value[row0][0] == pytest.approx(7.0)
 
     def test_window_border_pairs_excluded(self):
         ri = row_ri([10.0, 11.0, 12.0, 13.0])
         plan = explore_windows(ri, window_w=2, window_h=1, policy=InterpPolicy())
-        cols = sorted(s.col for s in plan.sites() if s.row == 0)
-        assert cols == [0, 2]  # pair (1, 2) crosses the window border
+        assert sorted(plan.col[plan.row == 0].tolist()) == [0, 2]  # pair (1, 2) crosses the window border
 
     def test_non_tiling_window_rejected(self):
         ri = row_ri([4.0, 4.0, 4.0])
@@ -95,9 +93,7 @@ class TestExploreWindows:
         for _ in range(25):
             ri = random_ri(rng, geom, empty_fraction=0.25)
             plan = explore_windows(ri, 4, 2, InterpPolicy(order=order))
-            got = list(plan.sites())
-            expected = brute_sorted_sites(got, order)
-            assert [(s.row, s.col) for s in got] == [(s.row, s.col) for s in expected]
+            assert list(zip(plan.row.tolist(), plan.col.tolist())) == brute_sorted_sites(plan)
 
     def test_plan_covers_all_inside_pairs(self, synth_ri):
         deg = downsample_ri(synth_ri, 2, 1)
@@ -158,8 +154,7 @@ class TestInterpolate:
                 # odd output column 2c+1 corresponds to source pair column c
                 filled = {(int(r), int(c))
                           for r, c in zip(*np.nonzero(out.depth[:, 1::2] != EMPTY))}
-                expected = brute_best_k_per_window(list(plan.sites()), order, k)
-                assert filled == expected
+                assert filled == brute_best_k_per_window(plan, k)
 
     def test_plan_mismatch_rejected(self, small_geometry):
         ri = random_ri(np.random.default_rng(2), small_geometry)

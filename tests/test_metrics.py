@@ -3,18 +3,18 @@ import pytest
 
 from riterp import (
     KdTree,
+    PipelineConfig,
     PointCloud,
     QualityReport,
     RangeImage,
     RiGeometry,
     chamfer,
     downsample_ri,
-    noise_ratio,
     ri_to_cloud,
     ssim,
 )
 from riterp import metrics
-from riterp.metrics import nn_distances, window_distances
+from riterp.metrics import nn_distances, noise_split, window_distances
 
 from conftest import random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
@@ -121,44 +121,44 @@ class TestNoiseRatio:
         rng = np.random.default_rng(8)
         ref = PointCloud(points=rng.uniform(-10, 10, size=(500, 3)))
         interp = PointCloud(points=ref.points[::5])
-        ratio, densify = noise_ratio(interp, ref, 0.5)
+        ratio, densify = noise_split(KdTree(ref).query(interp)[0], 0.5)
         assert ratio == 0.0
         assert densify == len(interp)
 
     def test_far_point_scores_one(self):
         ref = PointCloud(points=[[0.0, 0.0, 0.0]])
         interp = PointCloud(points=[[10.0, 0.0, 0.0]])
-        ratio, densify = noise_ratio(interp, ref, 0.5)
+        ratio, densify = noise_split(KdTree(ref).query(interp)[0], 0.5)
         assert ratio == 1.0
         assert densify == 0
 
     def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError, match="reference"):
-            noise_ratio(PointCloud(points=[[0.0, 0.0, 0.0]]),
-                        PointCloud(points=np.zeros((0, 3))), 0.5)
+        with pytest.raises(ValueError, match="empty cloud"):
+            KdTree(PointCloud(points=np.zeros((0, 3))))
 
     def test_nonpositive_delta_rejected(self):
-        cloud = PointCloud(points=[[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="delta"):
-            noise_ratio(cloud, cloud, 0.0)
+            PipelineConfig(delta=0.0)
 
     def test_empty_interp_cloud(self):
         ref = PointCloud(points=[[0.0, 0.0, 0.0]])
-        assert noise_ratio(PointCloud(points=np.zeros((0, 3))), ref, 0.5) == (0.0, 0)
+        dist, _ = KdTree(ref).query(PointCloud(points=np.zeros((0, 3))))
+        assert noise_split(dist, 0.5) == (0.0, 0)
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(9)
         ref = PointCloud(points=rng.uniform(-10, 10, size=(300, 3)))
         interp = PointCloud(points=rng.uniform(-12, 12, size=(200, 3)))
         deltas = [0.1, 0.5, 1.0, 2.0, 5.0]
-        ratios = [noise_ratio(interp, ref, d)[0] for d in deltas]
+        dist, _ = KdTree(ref).query(interp)
+        ratios = [noise_split(dist, d)[0] for d in deltas]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
     def test_partition_sums_to_total(self):
         rng = np.random.default_rng(10)
         ref = PointCloud(points=rng.uniform(-10, 10, size=(300, 3)))
         interp = PointCloud(points=rng.uniform(-12, 12, size=(200, 3)))
-        ratio, densify = noise_ratio(interp, ref, 0.5)
+        ratio, densify = noise_split(KdTree(ref).query(interp)[0], 0.5)
         assert ratio * len(interp) + densify == pytest.approx(len(interp))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from riterp import (
     cloud_to_ri,
     downsample_ri,
     filter_by_range,
+    KdTree,
     load_ri,
-    noise_ratio,
     quantize,
     QuantizerSpec,
     ri_to_cloud,
@@ -27,8 +28,8 @@ from riterp import (
     write_kitti_bin,
 )
 from riterp import pipeline
-from riterp.cli import main
-from riterp.metrics import window_distances
+from riterp.cli import _config_from_args, _config_keys, build_parser, main
+from riterp.metrics import noise_split, window_distances
 from riterp.pipeline import (
     INTERP_COLOR,
     METHODS,
@@ -173,7 +174,7 @@ class TestRunScan:
         test_cloud = ri_to_cloud(up)
         _, cols = np.nonzero(up.occupied)
         interp = PointCloud(points=test_cloud.points[cols % 2 != 0])
-        ratio, densify = noise_ratio(interp, ref_cloud, config.delta)
+        ratio, densify = noise_split(KdTree(ref_cloud).query(interp)[0], config.delta)
 
         assert report["ssim"] == ssim(up, ref)
         assert report["noise_ratio"] == ratio
@@ -462,6 +463,30 @@ class TestSweep:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command, positional", [
+        ("convert", ["in", "out"]), ("degrade", ["in", "out"]), ("interp", ["in", "out"]),
+        ("reconstruct", ["in", "out"]), ("pipeline", ["synth:0"]), ("sweep", ["synth:0"])])
+    def test_field_flags_default_to_the_config(self, command, positional):
+        parser, commands = build_parser()
+        args = parser.parse_args([command, *positional])
+        names = {f.name for f in fields(PipelineConfig)}
+        flagged = {a.dest for a in commands[command]._actions if a.option_strings} & names
+        assert flagged
+        for name in flagged:
+            assert getattr(args, name) == getattr(PipelineConfig(), name), name
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_every_field_but_inputs_has_a_flag_and_a_config_key(self, command):
+        _, commands = build_parser()
+        names = {f.name for f in fields(PipelineConfig)} - {"inputs"}
+        assert names <= {a.dest for a in commands[command]._actions if a.option_strings}
+        assert names <= set(_config_keys(commands[command]))
+
+    def test_default_flags_give_the_default_config(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["pipeline", "synth:0"])
+        assert _config_from_args(args) == PipelineConfig(inputs=["synth:0"])
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         out = tmp_path / "cli"
         code = main(["pipeline", "synth:0", "--width", "256", "--height", "64",
@@ -618,6 +643,16 @@ class TestCli:
     def test_score_without_pairs_fails(self):
         with pytest.raises(SystemExit):
             main(["score"])
+
+    @pytest.mark.parametrize("command", ["interp", "score"])
+    def test_ri_without_geometry_keys_fails_with_file_and_key(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, depth=np.zeros((4, 16)))
+        argv = {"interp": ["interp", str(bad), str(tmp_path / "out.npz")],
+                "score": ["score", "--ref-ri", str(bad), "--test-ri", str(bad)]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(bad) in err and "'width'" in err
 
     def test_degrade_missing_input_fails(self, tmp_path, capsys):
         code = main(["degrade", str(tmp_path / "no.npz"), str(tmp_path / "o.npz")])

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riterp import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
 from riterp.pointcloud import write_kitti_bin
@@ -140,6 +142,17 @@ class TestWritePly:
         assert str(path) in str(err.value)
 
 
+    def test_read_ply_header_cut_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.ply"
+        write_ply(PointCloud(points=np.ones((10, 3))), path)
+        raw = path.read_bytes()
+        for cut in range(raw.index(b"end_header")):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError) as err:
+                read_ply(path)
+            assert str(path) in str(err.value), cut
+
+
 class TestKittiBinWriter:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -190,3 +203,68 @@ class TestFilterByRange:
         once = filter_by_range(synth_cloud, 3.0, 60.0)
         twice = filter_by_range(once, 3.0, 60.0)
         assert np.array_equal(once.points, twice.points)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+CLOUDS = st.builds(
+    lambda n, seed: PointCloud(points=np.random.default_rng(seed).uniform(-80, 80, (n, 3))),
+    st.integers(1, 40), st.integers(0, 2**32 - 1))
+
+
+class TestReaderProperties:
+    """Truncated, empty and NaN-bearing files: each reader raises a
+    ValueError that names the file, or reads exactly what the file holds."""
+
+    @PROPERTY
+    @given(cloud=CLOUDS, data=st.data())
+    def test_truncated_ply_names_the_file(self, tmp_path_factory, cloud, data):
+        path = tmp_path_factory.mktemp("ply") / "scan.ply"
+        write_ply(cloud, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+        with pytest.raises(ValueError) as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+
+    @PROPERTY
+    @given(cloud=CLOUDS, data=st.data())
+    def test_truncated_bin_names_the_file_or_reads_whole_records(self, tmp_path_factory, cloud, data):
+        path = tmp_path_factory.mktemp("bin") / "scan.bin"
+        write_kitti_bin(cloud, path)
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        if cut % 16:
+            with pytest.raises(ValueError) as err:
+                read_kitti_bin(path)
+            assert str(path) in str(err.value)
+        else:  # a headerless scan cut between records is a shorter scan
+            points = read_kitti_bin(path).points
+            assert np.array_equal(points, cloud.points.astype(np.float32)[:cut // 16])
+
+    def test_empty_ply_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="not a PLY file") as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+
+    @PROPERTY
+    @given(cloud=CLOUDS, bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_coordinate_names_the_file(self, tmp_path_factory, cloud, bad, data):
+        where = data.draw(st.integers(0, cloud.points.size - 1), label="coordinate")
+        points = cloud.points.copy()
+        points.flat[where] = bad
+        directory = tmp_path_factory.mktemp("nan")
+        records = np.zeros((len(points), 4), dtype="<f4")
+        records[:, :3] = points
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  f"element vertex {len(points)}\nproperty float x\n"
+                  "property float y\nproperty float z\nend_header\n")
+        files = {directory / "scan.bin": records.tobytes(),
+                 directory / "scan.ply": header.encode("ascii") + points.astype("<f4").tobytes()}
+        for path, raw in files.items():
+            path.write_bytes(raw)
+            with pytest.raises(ValueError, match="NaN or Inf") as err:
+                read_ply(path) if path.suffix == ".ply" else read_kitti_bin(path)
+            assert str(path) in str(err.value)

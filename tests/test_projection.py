@@ -19,6 +19,7 @@ from riterp.projection import load_ri, pixel_center_angles, save_ri, write_pgm
 
 from conftest import random_ri
 
+RI_KEYS = ("depth", "width", "height", "pitch_max", "pitch_min", "min_depth", "max_depth")
 GEOM_1024 = RiGeometry(width=1024, height=64, pitch_max=2.0, pitch_min=-24.8,
                        min_depth=2.0, max_depth=120.0)
 
@@ -204,6 +205,39 @@ class TestRiFiles:
         again = load_ri(path)
         assert again.geometry == synth_ri.geometry
         assert np.array_equal(again.depth, synth_ri.depth)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(width=st.integers(2, 300), height=st.integers(2, 40), lo=st.floats(-30, 10),
+           span=st.floats(0.5, 40), depths=st.tuples(st.floats(0.1, 50), st.floats(1, 200)),
+           seed=st.integers(0, 2**32 - 1), drop=st.sampled_from([None, *RI_KEYS]))
+    def test_npz_roundtrip_or_missing_key_names_file_and_key(
+            self, tmp_path_factory, width, height, lo, span, depths, seed, drop):
+        geom = RiGeometry(width=width, height=height, pitch_max=lo + span, pitch_min=lo,
+                          min_depth=depths[0], max_depth=depths[0] + depths[1])
+        ri = random_ri(np.random.default_rng(seed), geom, empty_fraction=0.3)
+        path = tmp_path_factory.mktemp("ri") / "ri.npz"
+        save_ri(ri, path)
+        if drop is None:
+            again = load_ri(path)
+            assert again.geometry == geom
+            assert np.array_equal(again.depth, ri.depth)
+            return
+        with np.load(path) as data:
+            kept = {key: data[key] for key in data.files if key != drop}
+        np.savez(path, **kept)
+        with pytest.raises(ValueError) as err:
+            load_ri(path)
+        assert str(path) in str(err.value) and repr(drop) in str(err.value)
+
+    def test_invalid_archived_geometry_names_the_file(self, tmp_path, small_geometry):
+        path = tmp_path / "ri.npz"
+        save_ri(RangeImage(small_geometry, np.zeros((4, 16))), path)
+        with np.load(path) as data:
+            kept = dict(data)
+        np.savez(path, **{**kept, "min_depth": 0.0})
+        with pytest.raises(ValueError, match="min_depth") as err:
+            load_ri(path)
+        assert str(path) in str(err.value)
 
     def test_pgm_format(self, tmp_path, small_geometry):
         grid = np.zeros((4, 16))
