@@ -11,8 +11,8 @@ from .gradient import (
     interpolate,
     upscale_gradient,
 )
-from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import KdTree, QualityReport, chamfer, ssim
+from .lossy import downsample_ri, quantize
+from .metrics import KdTree, chamfer, ssim
 from .pipeline import PipelineConfig, ScanContext, evaluate, prepare_scan, run_pipeline, run_scan, sweep
 from .pointcloud import (
     PointCloud,

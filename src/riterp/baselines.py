@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lossy import check_factors
 from .projection import EMPTY, RangeImage, scale_geometry
 
 #: kernel support radius in source pixels; taps per axis = 2 * support
@@ -50,8 +51,7 @@ class UpscaleSpec:
     def __post_init__(self):
         if self.method not in SUPPORT:
             raise ValueError(f"method must be one of {sorted(SUPPORT)}, got {self.method!r}")
-        if self.factor_x < 1 or self.factor_y < 1:
-            raise ValueError(f"factors must be >= 1, got ({self.factor_x}, {self.factor_y})")
+        check_factors(self.factor_x, self.factor_y)
 
 
 def _axis_taps(n_src: int, factor: int, method: str) -> tuple[np.ndarray, np.ndarray]:

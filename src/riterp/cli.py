@@ -19,19 +19,16 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from .gradient import ASCENDING, DESCENDING
-from .lossy import QuantizerSpec, downsample_ri, quantize
 from .metrics import chamfer, ssim
 from .pipeline import (
-    INTERP_COLOR,
     METHODS,
     REPORT_FORMATS,
-    SOURCE_COLOR,
     PipelineConfig,
+    degrade_ri,
     interp_mask,
     load_scan,
+    point_colors,
     run_pipeline,
     sweep,
     upscale_ri,
@@ -137,29 +134,20 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    src = Path(args.input)
     dst = Path(args.output)
-    if dst.suffix in (".ply", ".bin"):
-        cloud = load_scan(str(src))
-        if dst.suffix == ".ply":
-            write_ply(cloud, dst)
-        else:
-            write_kitti_bin(cloud, dst)
-    elif dst.suffix in (".npz", ".pgm"):
-        cloud = load_scan(str(src))
-        ri = cloud_to_ri(cloud, RiGeometry(**{name: getattr(args, name) for name in _GEOMETRY}))
-        save_ri(ri, dst) if dst.suffix == ".npz" else write_pgm(ri, dst)
-    else:
+    writers = {".ply": write_ply, ".bin": write_kitti_bin, ".npz": save_ri, ".pgm": write_pgm}
+    if dst.suffix not in writers:
         raise SystemExit(f"error: unsupported output format {dst.suffix!r}")
+    data = load_scan(args.input)
+    if dst.suffix in (".npz", ".pgm"):  # range image outputs
+        data = cloud_to_ri(data, RiGeometry(**{name: getattr(args, name) for name in _GEOMETRY}))
+    writers[dst.suffix](data, dst)
     print(f"wrote {dst}")
     return 0
 
 
 def _cmd_degrade(args) -> int:
-    ri = load_ri(args.input)
-    out = downsample_ri(ri, args.factor_x, args.factor_y)
-    if args.bits is not None:
-        out = quantize(out, QuantizerSpec(args.bits, ri.geometry.min_depth, ri.geometry.max_depth))
+    out = degrade_ri(load_ri(args.input), args.factor_x, args.factor_y, args.bits)
     save_ri(out, args.output)
     if args.pgm:
         write_pgm(out, Path(args.output).with_suffix(".pgm"))
@@ -174,8 +162,6 @@ def _cmd_interp(args) -> int:
     config = _config_from_args(args, **{**asdict(g), "width": g.width * args.factor_x,
                                         "height": g.height * args.factor_y})
     out = upscale_ri(ri, config)
-    if out is None:
-        raise SystemExit("error: method 'none' produces no output")
     save_ri(out, args.output)
     if args.pgm:
         write_pgm(out, Path(args.output).with_suffix(".pgm"))
@@ -188,8 +174,7 @@ def _cmd_reconstruct(args) -> int:
     cloud = ri_to_cloud(ri)
     color = None
     if args.mark_interp:
-        color = np.tile(np.array(SOURCE_COLOR, dtype=np.uint8), (len(cloud), 1))
-        color[interp_mask(ri, args)] = INTERP_COLOR
+        color = point_colors(len(cloud), interp_mask(ri, args.factor_x, args.factor_y))
     write_ply(cloud, args.output, color=color)
     print(f"wrote {args.output} ({len(cloud)} points)")
     return 0

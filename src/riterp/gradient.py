@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projection import EMPTY, RangeImage, scale_geometry
+from .projection import EMPTY, RangeImage, RiGeometry, scale_geometry
 
 ASCENDING = "ascending_depth"
 DESCENDING = "descending_depth"
@@ -77,6 +77,14 @@ class InterpolationPlan:
         return self.row.size
 
 
+def check_window(g: RiGeometry, window_w: int, window_h: int) -> None:
+    """Raise ValueError unless window_w >= 2 and window_h >= 1 windows
+    tile an image of geometry g."""
+    if window_w < 2 or window_h < 1 or g.width % window_w or g.height % window_h:
+        raise ValueError(f"window {window_w}x{window_h} does not tile RI {g.width}x{g.height} "
+                         f"(window_w must be >= 2 and window_h >= 1)")
+
+
 def explore_windows(
     ri: RangeImage,
     window_w: int = DEFAULT_WINDOW_W,
@@ -90,12 +98,7 @@ def explore_windows(
     Pairs spanning a window border are not candidates.
     """
     g = ri.geometry
-    if window_w < 2:
-        raise ValueError(f"window_w must be >= 2, got {window_w}")
-    if g.width % window_w != 0 or g.height % window_h != 0:
-        raise ValueError(
-            f"window {window_w}x{window_h} does not tile RI {g.width}x{g.height}"
-        )
+    check_window(g, window_w, window_h)
 
     d = ri.depth
     left = d[:, :-1]
@@ -141,8 +144,6 @@ def _budget_mask(plan: InterpolationPlan) -> np.ndarray:
     k = plan.policy.max_fills_per_window
     if k is None:
         return keep
-    if k == 0:
-        return np.zeros_like(keep)
     idx = np.flatnonzero(keep)
     wids = plan.window_id[idx]
     # stable sort groups windows while preserving plan (priority) order

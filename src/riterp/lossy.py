@@ -1,40 +1,39 @@
 """Lossy degradation of range images: decimation and depth quantization.
 
 Stands in for an RI-level lossy compressor: resolution loss drops points,
-quantization coarsens depth. No entropy coding; only the quality damage
-matters here.
+quantization coarsens depth over the geometry's depth clamp
+[min_depth, max_depth]. No entropy coding; only the quality damage
+matters here. This module owns the rules for its inputs (bits, factors),
+which PipelineConfig calls too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .projection import EMPTY, RangeImage, scale_geometry
+from .projection import EMPTY, RangeImage, RiGeometry
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """Uniform depth quantizer. Symbol 0 is reserved for EMPTY, so bits
-    leave 2^bits - 1 depth symbols encoding levels 0 .. 2^bits - 2."""
+def check_bits(bits: int) -> None:
+    """Raise ValueError unless 4 <= bits <= 16."""
+    if not 4 <= bits <= 16:
+        raise ValueError(f"bits must be in [4, 16], got {bits}")
 
-    bits: int
-    min_depth: float
-    max_depth: float
 
-    def __post_init__(self):
-        if not 4 <= self.bits <= 16:
-            raise ValueError(f"bits must be in [4, 16], got {self.bits}")
-        if not self.min_depth < self.max_depth:
-            raise ValueError(f"require min_depth < max_depth, got [{self.min_depth}, {self.max_depth}]")
+def check_factors(factor_x: int, factor_y: int) -> None:
+    """Raise ValueError unless both factors are >= 1."""
+    if factor_x < 1 or factor_y < 1:
+        raise ValueError(f"factors must be >= 1, got ({factor_x}, {factor_y})")
 
-    @property
-    def levels(self) -> int:
-        return 2**self.bits - 1
 
-    @property
-    def step(self) -> float:
-        return (self.max_depth - self.min_depth) / (2**self.bits - 2)
+def downsampled_geometry(g: RiGeometry, factor_x: int, factor_y: int = 1) -> RiGeometry:
+    """The geometry downsample_ri gives an image of geometry g. Raises
+    ValueError unless both factors are >= 1 and divide g's size."""
+    check_factors(factor_x, factor_y)
+    if g.width % factor_x or g.height % factor_y:
+        raise ValueError(f"factors ({factor_x}, {factor_y}) do not divide {g.width}x{g.height}")
+    return replace(g, width=g.width // factor_x, height=g.height // factor_y)
 
 
 def downsample_ri(ri: RangeImage, factor_x: int, factor_y: int = 1) -> RangeImage:
@@ -44,35 +43,27 @@ def downsample_ri(ri: RangeImage, factor_x: int, factor_y: int = 1) -> RangeImag
     manufactures phantom mid-air depths, which the degradation stage must
     not inject. EMPTY propagates like any value.
     """
-    g = ri.geometry
-    if factor_x < 1 or factor_y < 1:
-        raise ValueError(f"factors must be >= 1, got ({factor_x}, {factor_y})")
-    if g.width % factor_x != 0 or g.height % factor_y != 0:
-        raise ValueError(
-            f"factors ({factor_x}, {factor_y}) do not divide {g.width}x{g.height}"
-        )
-    out = ri.depth[::factor_y, ::factor_x].copy()
-    return RangeImage(scale_geometry(g, 1.0 / factor_x, 1.0 / factor_y), out)
+    geometry = downsampled_geometry(ri.geometry, factor_x, factor_y)
+    return RangeImage(geometry, ri.depth[::factor_y, ::factor_x].copy())
 
 
-def quantize(ri: RangeImage, q: QuantizerSpec) -> RangeImage:
-    """Snap every non-empty depth to its uniform reconstruction level.
+def quantize(ri: RangeImage, bits: int) -> RangeImage:
+    """Snap every non-empty depth to its uniform reconstruction level over
+    the geometry's [min_depth, max_depth]. Symbol 0 is reserved for EMPTY,
+    so bits leave 2^bits - 1 levels:
 
     code = round((d - min) / (max - min) * (2^bits - 2)),
-    d' = min + code * step. EMPTY pixels are untouched.
+    d' = min + code * (max - min) / (2^bits - 2). EMPTY pixels are untouched.
     """
+    check_bits(bits)
+    g = ri.geometry
     d = ri.depth
     occupied = d != EMPTY
-    values = d[occupied]
-    if values.size and (values.min() < q.min_depth or values.max() > q.max_depth):
-        raise ValueError(
-            f"depths outside quantizer range [{q.min_depth}, {q.max_depth}]"
-        )
-    span = q.max_depth - q.min_depth
-    ncells = 2**q.bits - 2
-    code = np.rint((values - q.min_depth) / span * ncells)
+    span = g.max_depth - g.min_depth
+    ncells = 2**bits - 2
+    code = np.rint((d[occupied] - g.min_depth) / span * ncells)
     # (code * span) / ncells, not code * step: one rounding, tightest levels
-    recon = np.minimum(q.min_depth + (code * span) / ncells, q.max_depth)
+    recon = np.minimum(g.min_depth + (code * span) / ncells, g.max_depth)
     out = d.copy()
     out[occupied] = recon
-    return RangeImage(ri.geometry, out)
+    return RangeImage(g, out)

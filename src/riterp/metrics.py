@@ -15,7 +15,6 @@ every point when the geometries differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,24 +26,6 @@ SSIM_WINDOW = 8
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_L = 1.0  # depths are normalized to [0, 1] before comparison
-
-
-@dataclass
-class QualityReport:
-    """Paired 2D and 3D scores for one pipeline run.
-
-    noise_ratio and densify_count partition the interpolated points:
-    noise_ratio counts those farther than delta from every reference
-    point, densify_count those within delta.
-    """
-
-    ssim: float
-    noise_ratio: float | None
-    chamfer: float
-    densify_count: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _window_sums(a: np.ndarray, k: int) -> np.ndarray:
@@ -107,7 +88,6 @@ class KdTree:
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
         self._tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-        self.size = len(cloud)
 
     def query(self, points: np.ndarray | PointCloud) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-neighbor (distances, indices) for each query point."""

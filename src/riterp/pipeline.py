@@ -27,18 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import UpscaleSpec, upscale_baseline
+from .baselines import SUPPORT, UpscaleSpec, upscale_baseline
 from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, DEFAULT_WINDOW_W,
-                       InterpPolicy, upscale_gradient)
-from .lossy import QuantizerSpec, downsample_ri, quantize
-from .metrics import (KdTree, QualityReport, mean_chamfer, nn_distances, noise_split, ssim,
-                      ssim_terms)
+                       InterpPolicy, check_window, upscale_gradient)
+from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometry, quantize
+from .metrics import KdTree, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import (KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud,
                          write_pgm)
 from .synth import synth_scene
 
-METHODS = ("none", "bilinear", "bicubic", "lanczos3", "gradient")
+METHODS = ("none", *SUPPORT, "gradient")
 REPORT_FORMATS = ("json", "csv")
 
 #: every report row carries one time_<stage>_ms per stage, in this order
@@ -51,8 +50,9 @@ INTERP_COLOR = (255, 40, 40)
 
 @dataclass
 class PipelineConfig:
-    """Every knob of one experiment run. Component invariants (geometry,
-    quantizer, policy) are enforced on construction."""
+    """Every knob of one experiment run. Construction applies the stages'
+    own checks (geometry, factors, bits, gradient windows, policy), so a
+    bad config fails before any scan."""
 
     inputs: list[str] = field(default_factory=list)
     width: int = KITTI_GEOMETRY.width
@@ -84,32 +84,23 @@ class PipelineConfig:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if (self.factor_x < 1 or self.factor_y < 1
-                or self.width % self.factor_x or self.height % self.factor_y):
-            raise ValueError(f"factors ({self.factor_x}, {self.factor_y}) must be >= 1 and "
-                             f"divide the RI {self.width}x{self.height}")
+        # before the geometry, which `riterp interp` sizes by the factors
+        check_factors(self.factor_x, self.factor_y)
+        degraded = downsampled_geometry(self.geometry, self.factor_x, self.factor_y)
         if self.method == "gradient":
             if (self.factor_x, self.factor_y) != (2, 1):
                 raise ValueError(
                     f"gradient interpolation is 2x horizontal only, got factors "
                     f"({self.factor_x}, {self.factor_y})"
                 )
-            w, h = self.width / self.factor_x, self.height / self.factor_y
-            if self.window_w < 2 or self.window_h < 1 or w % self.window_w or h % self.window_h:
-                raise ValueError(f"window {self.window_w}x{self.window_h} does not tile "
-                                 f"the degraded RI {w:g}x{h:g}")
-        self.geometry  # validate RiGeometry invariants
-        self.policy    # validate InterpPolicy invariants
+            check_window(degraded, self.window_w, self.window_h)
+        self.policy  # validate InterpPolicy invariants
         if self.bits is not None:
-            QuantizerSpec(self.bits, self.min_depth, self.max_depth)
+            check_bits(self.bits)
 
     @property
     def geometry(self) -> RiGeometry:
-        return RiGeometry(
-            width=self.width, height=self.height,
-            pitch_max=self.pitch_max, pitch_min=self.pitch_min,
-            min_depth=self.min_depth, max_depth=self.max_depth,
-        )
+        return RiGeometry(**{f.name: getattr(self, f.name) for f in fields(RiGeometry)})
 
     @property
     def policy(self) -> InterpPolicy:
@@ -151,11 +142,10 @@ def load_scan(spec: str) -> PointCloud:
     return reader(path)
 
 
-def degrade_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage:
-    out = downsample_ri(ri, config.factor_x, config.factor_y)
-    if config.bits is not None:
-        out = quantize(out, QuantizerSpec(config.bits, config.min_depth, config.max_depth))
-    return out
+def degrade_ri(ri: RangeImage, factor_x: int, factor_y: int = 1, bits: int | None = None) -> RangeImage:
+    """downsample_ri, then quantize to bits unless bits is None."""
+    out = downsample_ri(ri, factor_x, factor_y)
+    return out if bits is None else quantize(out, bits)
 
 
 def upscale_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage | None:
@@ -168,15 +158,21 @@ def upscale_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage | None:
     return upscale_baseline(ri, spec)
 
 
-def interp_mask(ri: RangeImage, config) -> np.ndarray:
+def interp_mask(ri: RangeImage, factor_x: int, factor_y: int = 1) -> np.ndarray:
     """Per-point flags for ri_to_cloud output: True where the pixel was
-    created by upscaling (column or row not a multiple of its factor).
-    config is a PipelineConfig or anything else with factor_x and
-    factor_y."""
-    if config.factor_x < 1 or config.factor_y < 1:
-        raise ValueError(f"factors must be >= 1, got ({config.factor_x}, {config.factor_y})")
+    created by upscaling (column or row not a multiple of its factor)."""
+    check_factors(factor_x, factor_y)
     rows, cols = np.nonzero(ri.occupied)
-    return (cols % config.factor_x != 0) | (rows % config.factor_y != 0)
+    return (cols % factor_x != 0) | (rows % factor_y != 0)
+
+
+def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
+    """(count, 3) uint8 PLY colors: SOURCE_COLOR, and INTERP_COLOR where
+    interp (an interp_mask) is set."""
+    color = np.tile(np.array(SOURCE_COLOR, dtype=np.uint8), (count, 1))
+    if interp is not None:
+        color[interp] = INTERP_COLOR
+    return color
 
 
 def _timed(timings: dict[str, float], stage: str, fn, *args):
@@ -251,7 +247,10 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     prepared scan.
 
     Returns (report, artifacts); artifacts maps name -> RangeImage /
-    (PointCloud, color) pairs for the writer. The first report from a
+    (PointCloud, interp_mask) pairs for the writer. The report's
+    noise_ratio and densify_count partition the interpolated points:
+    noise_ratio is the fraction farther than delta from every reference
+    point, densify_count the number within delta. The first report from a
     context also carries the stage times prepare_scan spent; later ones
     read 0.0 for the stages they reused. Raises StageError with the
     failing stage's name, and ValueError if config's prefix key differs
@@ -261,13 +260,14 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
         raise ValueError(f"{ctx.spec}: scan context was prepared for another range or geometry")
     timings = dict.fromkeys(STAGES, 0.0)
     ref_ri, ref_cloud = ctx.ref_ri, ctx.ref_cloud
-    deg_ri = _timed(timings, "degrade", degrade_ri, ref_ri, config)
+    deg_ri = _timed(timings, "degrade", degrade_ri, ref_ri, config.factor_x, config.factor_y,
+                    config.bits)
     up_ri = _timed(timings, "interp", upscale_ri, deg_ri, config)
 
     def reconstruct():
         test_ri = up_ri if up_ri is not None else deg_ri
         test_cloud = ri_to_cloud(test_ri)
-        mask = interp_mask(test_ri, config) if up_ri is not None else None
+        mask = interp_mask(test_ri, config.factor_x, config.factor_y) if up_ri is not None else None
         return test_ri, test_cloud, mask
 
     test_ri, test_cloud, mask = _timed(timings, "reconstruct", reconstruct)
@@ -288,9 +288,9 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
             n_interp = int(np.count_nonzero(mask))
         else:
             ratio, densify, n_interp = None, 0, 0
-        cd = mean_chamfer(d_test, d_ref)
-        return QualityReport(ssim=ssim_score, noise_ratio=ratio, chamfer=cd,
-                             densify_count=densify), n_interp, n_fallback, n_tree
+        quality = {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),
+                   "densify_count": densify}
+        return quality, n_interp, n_fallback, n_tree
 
     quality, n_interp, n_fallback, n_tree = _timed(timings, "score", score)
     for stage, ms in ctx.pending_ms.items():
@@ -299,7 +299,7 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
 
     report = dict(config.echo())
     report["input"] = ctx.spec
-    report.update(quality.as_dict())
+    report.update(quality)
     report["interp_points"] = n_interp
     report["ref_occupancy"] = occupancy(ref_ri)
     report["degraded_occupancy"] = occupancy(deg_ri)
@@ -345,19 +345,17 @@ def write_artifacts(spec: str, artifacts: dict, out_dir: Path) -> None:
             write_pgm(ri, out_dir / f"{label}_{name}.pgm")
     for name in ("ref_cloud", "test_cloud"):
         cloud, mask = artifacts[name]
-        color = np.tile(np.array(SOURCE_COLOR, dtype=np.uint8), (len(cloud), 1))
-        if mask is not None:
-            color[mask] = INTERP_COLOR
-        write_ply(cloud, out_dir / f"{label}_{name}.ply", color=color)
+        write_ply(cloud, out_dir / f"{label}_{name}.ply", color=point_colors(len(cloud), mask))
 
 
 def run_pipeline(config: PipelineConfig) -> list[dict]:
     """Run every configured input; write reports and artifacts.
 
     A failing scan is reported on stderr with the failing stage and does
-    not stop the other scans. Raises RuntimeError at the end if nothing
-    succeeded or any scan failed. Raises ValueError before any scan runs
-    if two inputs would write the same artifact files.
+    not stop the other scans. Raises RuntimeError at the end if any scan
+    failed; with no inputs it writes an empty report and returns [].
+    Raises ValueError before any scan runs if two inputs would write the
+    same artifact files.
     """
     if not config.no_artifacts:
         labels: dict[str, str] = {}

@@ -36,6 +36,8 @@ class PointCloud:
                     f"intensity length {inten.shape[0]} does not match "
                     f"point count {pts.shape[0]}"
                 )
+            if not np.isfinite(inten).all():
+                raise ValueError("intensity contains NaN or Inf")
             self.intensity = inten
 
     def __len__(self) -> int:

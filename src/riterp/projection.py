@@ -6,6 +6,7 @@ column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -182,9 +183,16 @@ def save_ri(ri: RangeImage, path: str | Path) -> None:
 
 
 def load_ri(path: str | Path) -> RangeImage:
-    """Read an RI written by save_ri. A missing key or an invalid geometry
-    or depth grid raises a ValueError that names the file."""
-    with np.load(path) as data:
+    """Read an RI written by save_ri. A file that is not an .npz archive,
+    a missing key, or an invalid geometry or depth grid raises a one-line
+    ValueError that names the file."""
+    with open(path, "rb") as fh:  # np.load(path) leaves the file open when it rejects it
+        try:
+            data = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile):  # pickle, empty or cut file
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not an .npz RI archive")
         for key in ["depth", *(f.name for f in fields(RiGeometry))]:
             if key not in data.files:
                 raise ValueError(f"{path}: RI archive has no key {key!r}")
@@ -195,14 +203,11 @@ def load_ri(path: str | Path) -> RangeImage:
                 min_depth=float(data["min_depth"]), max_depth=float(data["max_depth"]),
             )
             return RangeImage(geom, data["depth"])
-        except ValueError as err:
+        except (TypeError, ValueError) as err:  # TypeError: a non-scalar geometry value
             raise ValueError(f"{path}: {err}") from None
 
 
-def scale_geometry(geom: RiGeometry, factor_x: float, factor_y: float = 1.0) -> RiGeometry:
-    """Geometry with width/height scaled; FOV and depth clamp unchanged."""
-    width = geom.width * factor_x
-    height = geom.height * factor_y
-    if width != int(width) or height != int(height):
-        raise ValueError(f"scaled size {width}x{height} is not integral")
-    return replace(geom, width=int(width), height=int(height))
+def scale_geometry(geom: RiGeometry, factor_x: int, factor_y: int = 1) -> RiGeometry:
+    """Geometry with width/height multiplied by integer upscale factors;
+    FOV and depth clamp unchanged."""
+    return replace(geom, width=geom.width * factor_x, height=geom.height * factor_y)

@@ -19,10 +19,10 @@ RANGE_NOISE_SIGMA = 0.03  # meters, HDL-64E-class range accuracy
 
 
 def _ray_directions(geom: RiGeometry) -> np.ndarray:
-    v, u = np.meshgrid(np.arange(geom.height), np.arange(geom.width), indexing="ij")
-    yaw, pitch = pixel_center_angles(geom, v.ravel().astype(np.float64), u.ravel().astype(np.float64))
-    cp = np.cos(pitch)
-    return np.stack([cp * np.cos(yaw), cp * np.sin(yaw), np.sin(pitch)], axis=1)
+    """Unit pixel-center ray per pixel, row-major, from geom.rays."""
+    cos_pitch, sin_pitch, cos_yaw, sin_yaw = geom.rays
+    return np.stack([np.outer(cos_pitch, cos_yaw).ravel(), np.outer(cos_pitch, sin_yaw).ravel(),
+                     np.repeat(sin_pitch, geom.width)], axis=1)
 
 
 def _ground_hits(dirs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def parse_ply(path) -> dict:
 
 def decode_kitti_bin(path) -> list[tuple[float, float, float, float]]:
     """struct-based record-by-record KITTI .bin decoder."""
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert len(raw) % 16 == 0
     return [struct.unpack_from("<4f", raw, off) for off in range(0, len(raw), 16)]
 

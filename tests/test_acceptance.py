@@ -21,7 +21,6 @@ from riterp import (
     KdTree,
     PipelineConfig,
     PointCloud,
-    QuantizerSpec,
     RangeImage,
     RiGeometry,
     UpscaleSpec,
@@ -109,11 +108,11 @@ def test_criterion_2_noise_ratio(experiment):
     spec = acceptance_inputs()[0]
     cloud = filter_by_range(load_scan(spec), config.range_min, config.range_max)
     ref_ri = cloud_to_ri(cloud, config.geometry)
-    deg = degrade_ri(ref_ri, config)
+    deg = degrade_ri(ref_ri, config.factor_x, config.factor_y, config.bits)
     up = upscale_gradient(deg, config.window_w, config.window_h, config.policy)
     ref_cloud = ri_to_cloud(ref_ri)
     test_cloud = ri_to_cloud(up)
-    mask = interp_mask(up, config)
+    mask = interp_mask(up, config.factor_x, config.factor_y)
     interp_points = test_cloud.points[mask][:2000]
     tree_dists, _ = KdTree(ref_cloud).query(interp_points)
     brute = brute_nn_dists(interp_points, ref_cloud.points)
@@ -211,7 +210,7 @@ def test_criterion_5_projection_roundtrip_fixed_point():
 @pytest.mark.parametrize("bits", [8, 10, 12])
 def test_criterion_6_quantization_bound(bits):
     """Reconstruction error never exceeds half a quantizer step."""
-    q = QuantizerSpec(bits=bits, min_depth=2.0, max_depth=120.0)
+    step = 118.0 / (2**bits - 2)
     rng = np.random.default_rng(bits)
     levels = 2.0 + np.arange(2**bits - 1) * 118.0 / (2**bits - 2)
     midpoints = (levels[:-1] + levels[1:]) / 2
@@ -222,13 +221,15 @@ def test_criterion_6_quantization_bound(bits):
     ])
     geom = RiGeometry(width=depths.size, height=2, pitch_max=2.0, pitch_min=-24.8,
                       min_depth=2.0, max_depth=120.0)
-    out = quantize(RangeImage(geom, np.vstack([depths, depths])), q)
+    out = quantize(RangeImage(geom, np.vstack([depths, depths])), bits)
     err = float(np.abs(out.depth[0] - depths).max())
-    assert err <= q.step / 2
+    assert err <= step / 2
     print(f"\nACCEPTANCE 6 (quantization bound, bits={bits}: max err "
-          f"{err:.6f} <= {q.step / 2:.6f}): PASS")
+          f"{err:.6f} <= {step / 2:.6f}): PASS")
 
 
+# the soft bound's miss is a warning by design, not an error
+@pytest.mark.filterwarnings("default:pipeline took:UserWarning")
 def test_criterion_7_latency_soft():
     """Full pipeline on one 64-beam scan in under 500 ms single-threaded:
     reported, and a miss is a warning rather than a failure."""

@@ -86,6 +86,12 @@ class TestExploreWindows:
         with pytest.raises(ValueError, match="window_w"):
             explore_windows(ri, window_w=1, window_h=1)
 
+    @pytest.mark.parametrize("window_h", [0, -4])
+    def test_window_without_rows_rejected(self, window_h):
+        ri = random_ri(np.random.default_rng(0), row_geometry(64, height=4))
+        with pytest.raises(ValueError, match="does not tile"):
+            upscale_gradient(ri, 32, window_h)
+
     @pytest.mark.parametrize("order", [ASCENDING, DESCENDING])
     def test_ordering_matches_brute_sort(self, order):
         rng = np.random.default_rng(0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from riterp import (
-    QuantizerSpec,
     RangeImage,
     RiGeometry,
     downsample_ri,
@@ -13,19 +12,9 @@ from riterp import (
 from conftest import random_ri
 
 
-class TestQuantizerSpec:
-    def test_rejects_bits_out_of_band(self):
-        for bits in (3, 17):
-            with pytest.raises(ValueError):
-                QuantizerSpec(bits=bits, min_depth=2.0, max_depth=120.0)
-
-    def test_rejects_inverted_range(self):
-        with pytest.raises(ValueError):
-            QuantizerSpec(bits=8, min_depth=5.0, max_depth=5.0)
-
-    def test_step(self):
-        q = QuantizerSpec(bits=12, min_depth=2.0, max_depth=120.0)
-        assert q.step == pytest.approx(118.0 / 4094.0)
+def step(bits: int) -> float:
+    """Quantizer step over the [2, 120] m depth clamp of every test geometry."""
+    return 118.0 / (2**bits - 2)
 
 
 class TestDownsample:
@@ -74,8 +63,6 @@ class TestDownsample:
 
 
 class TestQuantize:
-    Q8 = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-
     def _ri(self, values, geom):
         grid = np.zeros((geom.height, geom.width))
         flat = grid.reshape(-1)
@@ -84,20 +71,20 @@ class TestQuantize:
 
     def test_endpoints_exact(self, small_geometry):
         ri = self._ri([2.0, 120.0], small_geometry)
-        out = quantize(ri, self.Q8)
+        out = quantize(ri, 8)
         assert out.depth.reshape(-1)[0] == 2.0
         assert out.depth.reshape(-1)[1] == 120.0
 
     def test_empty_preserved(self, small_geometry):
         ri = self._ri([5.0], small_geometry)
-        out = quantize(ri, self.Q8)
+        out = quantize(ri, 8)
         assert np.array_equal(out.occupied, ri.occupied)
 
-    def test_out_of_range_rejected(self, small_geometry):
+    def test_rejects_bits_out_of_band(self, small_geometry):
         ri = self._ri([5.0], small_geometry)
-        q = QuantizerSpec(bits=8, min_depth=6.0, max_depth=120.0)
-        with pytest.raises(ValueError, match="outside"):
-            quantize(ri, q)
+        for bits in (3, 17):
+            with pytest.raises(ValueError, match="bits"):
+                quantize(ri, bits)
 
     @pytest.mark.parametrize("bits", [8, 10, 12])
     def test_half_step_error_bound(self, bits):
@@ -105,7 +92,6 @@ class TestQuantize:
         # cell boundaries approached to within 1e-9. The bound is sharp at
         # exact midpoints, where float64 evaluation sits within 1 ulp of
         # it on either side, so the boundary is probed from inside.
-        q = QuantizerSpec(bits=bits, min_depth=2.0, max_depth=120.0)
         rng = np.random.default_rng(bits)
         levels = 2.0 + np.arange(2**bits - 1) * 118.0 / (2**bits - 2)
         midpoints = (levels[:-1] + levels[1:]) / 2
@@ -118,23 +104,23 @@ class TestQuantize:
         geom = RiGeometry(width=depths.size, height=2, pitch_max=2, pitch_min=-24.8,
                           min_depth=2.0, max_depth=120.0)
         grid = np.vstack([depths, depths])
-        out = quantize(RangeImage(geom, grid), q)
+        out = quantize(RangeImage(geom, grid), bits)
         err = np.abs(out.depth[0] - depths)
-        assert err.max() <= q.step / 2
+        assert err.max() <= step(bits) / 2
 
     def test_idempotent(self, small_geometry):
         rng = np.random.default_rng(5)
         for bits in (4, 8, 16):
-            q = QuantizerSpec(bits=bits, min_depth=2.0, max_depth=120.0)
             ri = random_ri(rng, small_geometry)
-            once = quantize(ri, q)
-            twice = quantize(once, q)
+            once = quantize(ri, bits)
+            twice = quantize(once, bits)
             assert np.array_equal(once.depth, twice.depth)
 
-    def test_bits12_bound_value(self):
-        # half-step for bits=12 over [2, 120] is ~0.0144 m
-        q = QuantizerSpec(bits=12, min_depth=2.0, max_depth=120.0)
-        assert q.step / 2 == pytest.approx(0.0144, abs=2e-5)
+    def test_bits12_bound_value(self, small_geometry):
+        # half-step for bits=12 over [2, 120] is ~0.0144 m: depths on either
+        # side of 2.0144 snap to the first two levels
+        out = quantize(self._ri([2.0144, 2.0145], small_geometry), 12)
+        assert out.depth.reshape(-1)[:2].tolist() == [2.0, 2.0 + step(12)]
 
 
 class TestLossyRoundtrip:
@@ -142,14 +128,12 @@ class TestLossyRoundtrip:
     checked against the plain depth arrays."""
 
     def test_near_identity_at_16_bits(self, synth_ri):
-        q = QuantizerSpec(bits=16, min_depth=2.0, max_depth=120.0)
-        out = quantize(downsample_ri(synth_ri, 1, 1), q)
+        out = quantize(downsample_ri(synth_ri, 1, 1), 16)
         diff = np.abs(out.depth - synth_ri.depth)[synth_ri.occupied]
-        assert diff.max() <= q.step  # one 16-bit step per pixel
+        assert diff.max() <= step(16)  # one 16-bit step per pixel
 
     def test_composition_matches_stages(self, synth_ri):
-        q = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-        out = quantize(downsample_ri(synth_ri, 2, 1), q)
+        out = quantize(downsample_ri(synth_ri, 2, 1), 8)
         kept = synth_ri.depth[:, ::2]
         occupied = kept != 0.0
         code = np.rint((kept[occupied] - 2.0) / 118.0 * 254)
@@ -158,12 +142,10 @@ class TestLossyRoundtrip:
         assert np.array_equal(out.depth, expected)
 
     def test_deterministic(self, synth_ri):
-        q = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-        a = quantize(downsample_ri(synth_ri, 2, 1), q)
-        b = quantize(downsample_ri(synth_ri, 2, 1), q)
+        a = quantize(downsample_ri(synth_ri, 2, 1), 8)
+        b = quantize(downsample_ri(synth_ri, 2, 1), 8)
         assert np.array_equal(a.depth, b.depth)
 
     def test_empty_never_flips(self, synth_ri):
-        q = QuantizerSpec(bits=8, min_depth=2.0, max_depth=120.0)
-        out = quantize(downsample_ri(synth_ri, 2, 1), q)
+        out = quantize(downsample_ri(synth_ri, 2, 1), 8)
         assert np.array_equal(out.occupied, synth_ri.depth[:, ::2] != 0.0)

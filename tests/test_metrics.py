@@ -5,7 +5,6 @@ from riterp import (
     KdTree,
     PipelineConfig,
     PointCloud,
-    QualityReport,
     RangeImage,
     RiGeometry,
     chamfer,
@@ -232,9 +231,3 @@ class TestNnDistances:
         assert queried == [0] and not built and fallback == in_tree == 0
         assert not d_ab.any() and not d_ba.any()
 
-
-class TestQualityReport:
-    def test_flat_dict(self):
-        report = QualityReport(ssim=0.9, noise_ratio=0.1, chamfer=0.05, densify_count=10)
-        d = report.as_dict()
-        assert d == {"ssim": 0.9, "noise_ratio": 0.1, "chamfer": 0.05, "densify_count": 10}

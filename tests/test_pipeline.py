@@ -17,7 +17,6 @@ from riterp import (
     KdTree,
     load_ri,
     quantize,
-    QuantizerSpec,
     ri_to_cloud,
     run_scan,
     save_ri,
@@ -277,7 +276,7 @@ def test_scores_equal_unfused_oracle(method, bits):
 
     cloud = filter_by_range(synth_scene(2), config.range_min, config.range_max)
     ref_ri = cloud_to_ri(cloud, config.geometry)
-    deg_ri = degrade_ri(ref_ri, config)
+    deg_ri = degrade_ri(ref_ri, config.factor_x, config.factor_y, config.bits)
     up_ri = upscale_ri(deg_ri, config)
     test_ri = deg_ri if up_ri is None else up_ri
     ref, test = ri_to_cloud(ref_ri).points, ri_to_cloud(test_ri).points
@@ -287,7 +286,7 @@ def test_scores_equal_unfused_oracle(method, bits):
     if up_ri is None:
         assert (report["noise_ratio"], report["densify_count"], report["interp_points"]) == (None, 0, 0)
         return
-    d_interp, _ = cKDTree(ref).query(test[interp_mask(test_ri, config)])
+    d_interp, _ = cKDTree(ref).query(test[interp_mask(test_ri, config.factor_x, config.factor_y)])
     noisy = d_interp > config.delta
     assert report["noise_ratio"] == float(noisy.mean())
     assert report["densify_count"] == int(noisy.size - noisy.sum())
@@ -619,7 +618,7 @@ class TestCli:
         assert main(argv + ([] if bits is None else ["--bits", str(bits)])) == 0
         expected = downsample_ri(ri, 4, 2)
         if bits is not None:
-            expected = quantize(expected, QuantizerSpec(bits, 2.0, 120.0))
+            expected = quantize(expected, bits)
         assert np.array_equal(load_ri(out).depth, expected.depth)
         assert load_ri(out).geometry == expected.geometry
 
@@ -653,6 +652,16 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and str(bad) in err and "'width'" in err
+
+    @pytest.mark.parametrize("content", ["text", "cut", "empty"])
+    def test_unreadable_ri_archive_fails_with_the_file(self, content, ri_512x16, tmp_path, capsys):
+        _, path = ri_512x16
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes({"text": b"not an archive\n", "cut": path.read_bytes()[:3000],
+                         "empty": b""}[content])
+        assert main(["interp", str(bad), str(tmp_path / "out.npz")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(bad) in err and "npz" in err
 
     def test_degrade_missing_input_fails(self, tmp_path, capsys):
         code = main(["degrade", str(tmp_path / "no.npz"), str(tmp_path / "o.npz")])

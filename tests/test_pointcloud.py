@@ -268,3 +268,15 @@ class TestReaderProperties:
             with pytest.raises(ValueError, match="NaN or Inf") as err:
                 read_ply(path) if path.suffix == ".ply" else read_kitti_bin(path)
             assert str(path) in str(err.value)
+
+    @PROPERTY
+    @given(cloud=CLOUDS, bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_reflectance_names_the_file(self, tmp_path_factory, cloud, bad, data):
+        records = np.zeros((len(cloud), 4), dtype="<f4")
+        records[:, :3] = cloud.points
+        records[data.draw(st.integers(0, len(cloud) - 1), label="record"), 3] = bad
+        path = tmp_path_factory.mktemp("nan") / "scan.bin"
+        path.write_bytes(records.tobytes())
+        with pytest.raises(ValueError, match="NaN or Inf") as err:
+            read_kitti_bin(path)
+        assert str(path) in str(err.value)

@@ -40,6 +40,12 @@ class TestGeometryValidation:
             RiGeometry(width=64, height=64, pitch_max=2, pitch_min=-24.8,
                        min_depth=0.0, max_depth=120)
 
+    def test_rejects_empty_depth_range(self):
+        # quantize spans [min_depth, max_depth], so it must not be empty
+        with pytest.raises(ValueError, match="min_depth < max_depth"):
+            RiGeometry(width=64, height=64, pitch_max=2, pitch_min=-24.8,
+                       min_depth=5.0, max_depth=5.0)
+
 
 class TestRangeImageValidation:
     def test_rejects_wrong_shape(self, small_geometry):
@@ -236,6 +242,16 @@ class TestRiFiles:
             kept = dict(data)
         np.savez(path, **{**kept, "min_depth": 0.0})
         with pytest.raises(ValueError, match="min_depth") as err:
+            load_ri(path)
+        assert str(path) in str(err.value)
+
+    def test_non_scalar_archived_geometry_names_the_file(self, tmp_path, small_geometry):
+        path = tmp_path / "ri.npz"
+        save_ri(RangeImage(small_geometry, np.zeros((4, 16))), path)
+        with np.load(path) as data:
+            kept = dict(data)
+        np.savez(path, **{**kept, "width": np.array([16, 16])})
+        with pytest.raises(ValueError) as err:
             load_ri(path)
         assert str(path) in str(err.value)
 

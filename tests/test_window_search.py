@@ -17,7 +17,6 @@ from scipy.spatial import cKDTree
 
 from riterp import (
     KITTI_GEOMETRY,
-    QuantizerSpec,
     RangeImage,
     RiGeometry,
     UpscaleSpec,
@@ -67,8 +66,7 @@ def make_pair(seed: int, kind: str, geom: RiGeometry) -> tuple[RangeImage, Range
         test = np.where(ref > 0, np.clip(ref + rng.normal(0, 0.3, ref.shape), 2.0, 120.0), 0.0)
         test[rng.random(ref.shape) < 0.5] = 0.0
     elif kind == "quantized":
-        spec = QuantizerSpec(int(rng.integers(4, 13)), geom.min_depth, geom.max_depth)
-        test = quantize(RangeImage(geom, ref), spec).depth
+        test = quantize(RangeImage(geom, ref), int(rng.integers(4, 13))).depth
     elif kind == "bilinear" and geom.width % 2 == 0:
         # phantom depths between decimated neighbours, as the pipeline scores them
         deg = downsample_ri(RangeImage(geom, ref), 2, 1)
