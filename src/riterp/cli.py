@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
     sweep,
     upscale_ri,
-    write_csv,
+    write_report,
 )
 from .pointcloud import read_ply, write_kitti_bin, write_ply
 from .projection import RiGeometry, cloud_to_ri, load_ri, ri_to_cloud, save_ri, write_pgm
@@ -214,9 +214,10 @@ def _cmd_sweep(args) -> int:
     rows = sweep(base, grid)
     out = Path(base.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(rows, out / "sweep.csv")
+    path = out / f"sweep.{base.report_format}"
+    write_report(rows, path)
     errors = sum(1 for row in rows if row.get("error"))
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows, {errors} errors)")
+    print(f"wrote {path} ({len(rows)} rows, {errors} errors)")
     return 0 if errors == 0 else 1
 
 

@@ -121,7 +121,9 @@ def explore_windows(
     window_id = (row_idx // window_h) * windows_per_row + (col_idx // window_w)
 
     key = neighbor if policy.order == ASCENDING else -neighbor
-    order = np.lexsort((col_idx, row_idx, key))
+    # sites are enumerated in (row, col) order, so a stable sort on the key
+    # breaks ties by (row, col)
+    order = np.argsort(key, kind="stable")
 
     return InterpolationPlan(
         source_width=g.width,

@@ -13,7 +13,9 @@ point the degraded image kept, when quantization is off).
 prepare_scan runs the stages that no degradation or interpolation setting
 changes (through the reference RI, its cloud, its k-d tree and its half
 of SSIM) once per scan; evaluate runs the rest for one config, so sweep
-cells share them.
+cells share them. STAGE_FIELDS says which config fields each stage reads:
+prefix_key and cell_key are read from it, and a sweep evaluates each
+distinct cell of a scan once.
 """
 from __future__ import annotations
 
@@ -120,6 +122,38 @@ class PipelineConfig:
         return out
 
 
+#: the stage that reads each PipelineConfig field. prepare_scan reads the
+#: prefix fields, evaluate the degrade, interp, gradient (method 'gradient'
+#: only) and score fields; the output fields only say where and how the
+#: results are written, and each scan's spec stands for inputs.
+STAGE_FIELDS = {
+    "input": ("inputs",),
+    "prefix": (*(f.name for f in fields(RiGeometry)), "range_min", "range_max"),
+    "degrade": ("factor_x", "factor_y", "bits"),
+    "interp": ("method",),
+    "gradient": ("window_w", "window_h", "policy_order", "grad_threshold", "max_fills"),
+    "score": ("delta",),
+    "output": ("out_dir", "report_format", "no_artifacts"),
+}
+
+
+def prefix_key(spec: str, config: PipelineConfig) -> tuple:
+    """The input and the prefix fields: all prepare_scan's result depends on."""
+    return (spec, *(getattr(config, name) for name in STAGE_FIELDS["prefix"]))
+
+
+def cell_key(config: PipelineConfig) -> tuple:
+    """The fields evaluate's numbers depend on besides the prefix: degrade,
+    interp and score, and for method 'gradient' the gradient fields, of
+    which policy_order counts only under a fill budget (without one, both
+    orders fill the same sites)."""
+    names = [*STAGE_FIELDS["degrade"], *STAGE_FIELDS["interp"], *STAGE_FIELDS["score"]]
+    if config.method == "gradient":
+        names += [name for name in STAGE_FIELDS["gradient"]
+                  if name != "policy_order" or config.max_fills is not None]
+    return tuple(getattr(config, name) for name in names)
+
+
 class StageError(RuntimeError):
     """Raised when one pipeline stage fails; names the stage."""
 
@@ -185,11 +219,6 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
         raise StageError(stage, exc) from exc
     timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0) * 1e3
     return result
-
-
-def prefix_key(spec: str, config: PipelineConfig) -> tuple:
-    """The config fields prepare_scan's result depends on, with the input."""
-    return spec, config.range_min, config.range_max, config.geometry
 
 
 @dataclass
@@ -380,11 +409,7 @@ def run_pipeline(config: PipelineConfig) -> list[dict]:
         if not config.no_artifacts:
             write_artifacts(spec, artifacts, out_dir)
 
-    if config.report_format == "json":
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(reports, indent=2) + "\n")
-    else:
-        write_csv(reports, out_dir / "report.csv")
+    write_report(reports, out_dir / f"report.{config.report_format}")
 
     if failures:
         failed = ", ".join(spec for spec, _ in failures)
@@ -392,21 +417,19 @@ def run_pipeline(config: PipelineConfig) -> list[dict]:
     return reports
 
 
-def write_csv(rows: list[dict], path: Path) -> None:
-    """Append-friendly CSV: union of keys across rows, stable order."""
+def write_report(rows: list[dict], path: Path) -> None:
+    """Write rows to a .json path as a JSON list, to any other path as CSV
+    whose columns are the union of the rows' keys, in first-seen order."""
+    if path.suffix == ".json":
+        path.write_text(json.dumps(rows, indent=2) + "\n")
+        return
     if not rows:
         path.write_text("")
         return
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _error_row(config: PipelineConfig, spec: str, error: str, overrides: dict | None = None) -> dict:
@@ -415,7 +438,9 @@ def _error_row(config: PipelineConfig, spec: str, error: str, overrides: dict | 
 
 def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig]], rows: list) -> None:
     """Fill rows[index] for every (index, spec, cell) job of one prefix
-    group from a single prepared scan."""
+    group from a single prepared scan. Only the first job of each cell_key
+    is evaluated; a later one gets a new dict: that row with its own
+    config echo and every time_*_ms at 0.0."""
     _, spec, first = jobs[0]
     try:
         ctx = prepare_scan(spec, first)
@@ -423,13 +448,19 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig]], rows: list) -> None
         for index, spec, cell in jobs:
             rows[index] = _error_row(cell, spec, str(err))
         return
+    evaluated: dict[tuple, dict] = {}
     for index, spec, cell in jobs:
+        key = cell_key(cell)
+        row = evaluated.get(key)
+        if row is not None:
+            rows[index] = {**row, **cell.echo(), **{k: 0.0 for k in row if k.startswith("time_")}}
+            continue
         try:
-            report, _ = evaluate(ctx, cell)
-            report["error"] = ""
+            row, _ = evaluate(ctx, cell)
+            row["error"] = ""
         except StageError as err:
-            report = _error_row(cell, spec, str(err))
-        rows[index] = report
+            row = _error_row(cell, spec, str(err))
+        rows[index] = evaluated[key] = row
 
 
 def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
@@ -439,8 +470,12 @@ def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
     Cells that share a scan's prefix key (input, range filter, geometry)
     share one prepare_scan. The work runs one scan at a time, so one
     ScanContext is alive at a time, and the prefix's stage times go to
-    the first row evaluated from it. Failures become rows with an 'error'
-    column and the sweep continues.
+    the first row evaluated from it. Of the cells with equal cell_key
+    (the same numbers; e.g. two baseline cells that differ only in a
+    gradient field) only the first is evaluated per scan: the others copy
+    its row with their own config echo, and every time_*_ms of a copy
+    reads 0.0 ("reused, not run again"). Failures become rows with an
+    'error' column and the sweep continues.
     """
     for name in grid:
         if name not in {f.name for f in fields(config)}:

@@ -62,7 +62,7 @@ def _box_columns(geom: RiGeometry, bmin: np.ndarray, bmax: np.ndarray) -> np.nda
     within the angular span of the box's xy footprint, padded by one
     column on each side, or every column when the footprint holds the
     origin. A ray of any other column misses the footprint, so its slab
-    test would return inf."""
+    test, or the test of a cylinder inside the box, would return inf."""
     if bmin[0] <= 0 <= bmax[0] and bmin[1] <= 0 <= bmax[1]:
         return np.arange(geom.width)
     # the footprint is convex and does not hold the origin, so its corners
@@ -124,11 +124,13 @@ def synth_scene(seed: int, geometry: RiGeometry = KITTI_GEOMETRY) -> PointCloud:
         azimuth = rng.uniform(-np.pi, np.pi)
         radius = rng.uniform(0.15, 0.5)
         height = rng.uniform(2.0, 5.0)
-        depth = np.minimum(
-            depth,
-            _cylinder_hits(dirs, dist * np.cos(azimuth), dist * np.sin(azimuth),
-                           radius, -SENSOR_HEIGHT + height),
-        )
+        cx, cy = dist * np.cos(azimuth), dist * np.sin(azimuth)
+        z_top = -SENSOR_HEIGHT + height
+        # a ray that meets the cylinder enters its bounding box
+        cols = _box_columns(geometry, np.array([cx - radius, cy - radius, -SENSOR_HEIGHT]),
+                            np.array([cx + radius, cy + radius, z_top]))
+        hits = _cylinder_hits(grid_dirs[:, cols].reshape(-1, 3), cx, cy, radius, z_top)
+        grid_depth[:, cols] = np.minimum(grid_depth[:, cols], hits.reshape(geometry.height, -1))
 
     # per-ray range jitter: real returns are not geometrically smooth, and
     # the jitter drives the kernel comparison the way real scans do

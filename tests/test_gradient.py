@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riterp import (
     ASCENDING,
@@ -13,6 +15,7 @@ from riterp import (
     downsample_ri,
     explore_windows,
     interpolate,
+    quantize,
     ri_to_cloud,
     upscale_gradient,
 )
@@ -107,6 +110,48 @@ class TestExploreWindows:
         g = deg.geometry
         expected = g.height * (g.width - g.width // 32)
         assert len(plan) == expected
+
+
+@st.composite
+def plan_cases(draw):
+    """(ri, window_w, window_h, policy): windows that tile a small random
+    image, a threshold, an order and a budget; the image is optionally
+    quantized to 4-8 bits, which makes many equal non-EMPTY depths."""
+    window_w = draw(st.integers(2, 6))
+    window_h = draw(st.integers(1, 3))
+    width = window_w * draw(st.integers(1, 4))
+    height = window_h * draw(st.integers(max(1, math.ceil(2 / window_h)), 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ri = random_ri(rng, row_geometry(width, height), empty_fraction=draw(st.floats(0.0, 0.8)))
+    bits = draw(st.one_of(st.none(), st.integers(4, 8)))
+    if bits is not None:
+        ri = quantize(ri, bits)
+    policy = InterpPolicy(order=draw(st.sampled_from([ASCENDING, DESCENDING])),
+                          max_fills_per_window=draw(st.one_of(st.none(), st.integers(0, 3))),
+                          gradient_threshold=draw(st.floats(0.5, 80.0)))
+    return ri, window_w, window_h, policy
+
+
+class TestPlanProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(plan_cases())
+    def test_plan_and_output(self, case):
+        ri, window_w, window_h, policy = case
+        plan = explore_windows(ri, window_w, window_h, policy)
+        assert list(zip(plan.row.tolist(), plan.col.tolist())) == brute_sorted_sites(plan)
+        out = interpolate(ri, plan)
+        assert_boundary_safe(ri, out, policy.gradient_threshold)
+        rows, gaps = np.nonzero(out.depth[:, 1::2] != EMPTY)
+        _, per_window = np.unique(np.stack([rows // window_h, gaps // window_w]), axis=1,
+                                  return_counts=True)
+        if policy.max_fills_per_window is not None:
+            assert (per_window <= policy.max_fills_per_window).all()
+        else:
+            # without a budget the order decides nothing
+            other = DESCENDING if policy.order == ASCENDING else ASCENDING
+            flipped = upscale_gradient(ri, window_w, window_h, InterpPolicy(
+                order=other, gradient_threshold=policy.gradient_threshold))
+            assert np.array_equal(flipped.depth, out.depth)
 
 
 class TestInterpolate:

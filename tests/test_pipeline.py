@@ -1,7 +1,7 @@
 import itertools
 import json
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from riterp.pipeline import (
     INTERP_COLOR,
     METHODS,
     SOURCE_COLOR,
+    STAGE_FIELDS,
     STAGES,
     StageError,
     degrade_ri,
@@ -342,7 +343,69 @@ class TestRunPipeline:
         assert len(run_pipeline(config)) == 2
 
 
+#: sweep-synth's grid: each bilinear cell appears at two thresholds
+SYNTH_GRID = {"method": ["bilinear", "gradient"], "bits": [None, 10], "grad_threshold": [0.8, 2.5]}
+
+
+def count_evaluates(monkeypatch) -> list[tuple[str, dict]]:
+    """Record (spec, config echo) of every cell pipeline.evaluate runs."""
+    calls = []
+    real = pipeline.evaluate
+
+    def counting(ctx, config):
+        calls.append((ctx.spec, config.echo()))
+        return real(ctx, config)
+
+    monkeypatch.setattr(pipeline, "evaluate", counting)
+    return calls
+
+
+def is_copy(row: dict) -> bool:
+    return all(v == 0.0 for k, v in row.items() if k.startswith("time_"))
+
+
 class TestSweep:
+    def test_stage_table_names_every_field_once(self):
+        named = [name for names in STAGE_FIELDS.values() for name in names]
+        assert sorted(named) == sorted(f.name for f in fields(PipelineConfig))
+
+    def test_each_distinct_cell_evaluated_once_per_scan(self, monkeypatch):
+        calls = count_evaluates(monkeypatch)
+        rows = sweep(small_config(inputs=["synth:0", "synth:1"]), SYNTH_GRID)
+        assert len(rows) == 16 and not any(row["error"] for row in rows)
+        for spec in ("synth:0", "synth:1"):
+            mine = [echo for evaluated, echo in calls if evaluated == spec]
+            assert len(mine) == 6
+            # the bilinear cells run at the first threshold only
+            assert {e["grad_threshold"] for e in mine if e["method"] == "bilinear"} == {0.8}
+        assert sum(map(is_copy, rows)) == 4
+
+    def test_copied_rows_equal_a_fresh_evaluate(self):
+        config = small_config(inputs=["synth:0"])
+        rows = sweep(config, SYNTH_GRID)
+        assert len({id(row) for row in rows}) == len(rows)
+        copies = [row for row in rows if is_copy(row)]
+        assert [(row["method"], row["grad_threshold"]) for row in copies] == [("bilinear", 2.5)] * 2
+        for row in copies:
+            # the copy's own cell: its echo differs from its source row's
+            cell = replace(config, method=row["method"], bits=row["bits"],
+                           grad_threshold=row["grad_threshold"])
+            fresh, _ = run_scan("synth:0", cell)
+            assert list(row) == [*fresh, "error"]
+            assert strip_times(row) == {**strip_times(fresh), "error": ""}
+
+    @pytest.mark.parametrize("max_fills, evaluated", [(None, 1), (2, 2)])
+    def test_order_counts_only_under_a_budget(self, monkeypatch, max_fills, evaluated):
+        calls = count_evaluates(monkeypatch)
+        config = small_config(inputs=["synth:0"], method="gradient", max_fills=max_fills)
+        rows = sweep(config, {"policy_order": ["ascending_depth", "descending_depth"]})
+        assert [echo["policy_order"] for _, echo in calls] == [
+            "ascending_depth", "descending_depth"][:evaluated]
+        assert [row["policy_order"] for row in rows] == ["ascending_depth", "descending_depth"]
+        for row in rows:
+            fresh, _ = run_scan("synth:0", replace(config, policy_order=row["policy_order"]))
+            assert {k: row[k] for k in RESULT_FIELDS} == {k: fresh[k] for k in RESULT_FIELDS}
+
     def test_degenerate_grid_matches_pipeline(self):
         config = small_config(inputs=["synth:0"], method="gradient")
         rows = sweep(config, {"method": ["gradient"]})
@@ -596,10 +659,22 @@ class TestCli:
         out = tmp_path / "sweep"
         code = main(["sweep", "synth:0", "--width", "256", "--height", "64",
                      "--method", "bilinear", "gradient", "--grad-threshold", "1.0", "2.5",
-                     "--out-dir", str(out), "--no-artifacts"])
+                     "--report-format", "csv", "--out-dir", str(out), "--no-artifacts"])
         assert code == 0
         text = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(text) == 1 + 4  # header + 2 methods x 2 thresholds
+
+    def test_sweep_writes_its_report_format(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "synth:0", "--width", "256", "--height", "64",
+                     "--method", "bilinear", "gradient", "--report-format", "json",
+                     "--out-dir", str(out), "--no-artifacts"])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.json"]
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [row["method"] for row in rows] == ["bilinear", "gradient"]
+        assert all(row["error"] == "" and row["report_format"] == "json" for row in rows)
+        assert f"wrote {out / 'sweep.json'} (2 rows, 0 errors)" in capsys.readouterr().out
 
     @pytest.fixture
     def ri_512x16(self, tmp_path):

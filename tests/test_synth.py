@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,8 @@ def culled_hits(geom, dirs, bmin, bmax):
 
 
 GEOMETRIES = pytest.mark.parametrize("geom", [KITTI_GEOMETRY, SMALL_GEOMETRY], ids=["kitti", "256x16"])
+SMALL_GEOMETRIES = pytest.mark.parametrize("geom", [SMALL_GEOMETRY, replace(SMALL_GEOMETRY, width=400)],
+                                           ids=["256x16", "400x16"])
 
 
 class TestBoxCulling:
@@ -56,13 +60,13 @@ class TestBoxCulling:
     @GEOMETRIES
     def test_scene_boxes_equal_full_raycast(self, geom, monkeypatch):
         boxes = []
-        columns = synth._box_columns
+        hits = synth._box_hits
 
-        def recording(g, bmin, bmax):
+        def recording(dirs, bmin, bmax):
             boxes.append((bmin, bmax))
-            return columns(g, bmin, bmax)
+            return hits(dirs, bmin, bmax)
 
-        monkeypatch.setattr(synth, "_box_columns", recording)
+        monkeypatch.setattr(synth, "_box_hits", recording)
         for seed in range(20):
             synth_scene(seed, geom)
         monkeypatch.undo()
@@ -90,3 +94,39 @@ class TestBoxCulling:
         full = synth._box_hits(dirs, bmin, bmax)
         assert np.isfinite(full).any()
         assert np.array_equal(culled_hits(geom, dirs, bmin, bmax), full)
+
+
+
+
+class TestCylinderCulling:
+    """Cylinders are raycast over the columns of their bounding box only;
+    the reference is _cylinder_hits over every ray."""
+
+    @pytest.mark.parametrize("geom", [KITTI_GEOMETRY, SMALL_GEOMETRY, replace(SMALL_GEOMETRY, width=400)],
+                             ids=["kitti", "256x16", "400x16"])
+    def test_scene_cylinders_keep_every_hit(self, geom, monkeypatch):
+        culled = []
+        hits = synth._cylinder_hits
+
+        def recording(dirs, cx, cy, radius, z_top):
+            out = hits(dirs, cx, cy, radius, z_top)
+            culled.append(((cx, cy, radius, z_top), len(dirs), out[np.isfinite(out)]))
+            return out
+
+        monkeypatch.setattr(synth, "_cylinder_hits", recording)
+        for seed in range(12):
+            synth_scene(seed, geom)
+        monkeypatch.undo()
+        assert len(culled) >= 12 * 5
+        dirs = synth._ray_directions(geom)
+        for args, tested, found in culled:
+            full = hits(dirs, *args)
+            assert tested < len(dirs) // 4
+            assert np.array_equal(np.sort(found), np.sort(full[np.isfinite(full)]))
+
+    @SMALL_GEOMETRIES
+    def test_scene_equals_full_raycast(self, geom, monkeypatch):
+        culled = [synth_scene(seed, geom).points for seed in range(12)]
+        monkeypatch.setattr(synth, "_box_columns", lambda g, bmin, bmax: np.arange(g.width))
+        for seed, points in enumerate(culled):
+            assert np.array_equal(points, synth_scene(seed, geom).points)
