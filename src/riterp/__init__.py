@@ -1,12 +1,11 @@
 """riterp: LiDAR range-image degradation, gradient-aware interpolation,
 and quality evaluation."""
 
-from .baselines import SUPPORT, UpscaleSpec, upscale_baseline
+from .baselines import SUPPORT, upscale_baseline
 from .gradient import (
     ASCENDING,
     DESCENDING,
     InterpolationPlan,
-    InterpPolicy,
     explore_windows,
     interpolate,
     upscale_gradient,

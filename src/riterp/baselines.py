@@ -7,8 +7,6 @@ against, so it must not be "fixed" here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lossy import check_factors
@@ -40,20 +38,6 @@ def _kernel(method: str, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class UpscaleSpec:
-    """Separable upscale factors and kernel choice."""
-
-    factor_x: int
-    factor_y: int
-    method: str
-
-    def __post_init__(self):
-        if self.method not in SUPPORT:
-            raise ValueError(f"method must be one of {sorted(SUPPORT)}, got {self.method!r}")
-        check_factors(self.factor_x, self.factor_y)
-
-
 def _axis_taps(n_src: int, factor: int, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-output-index source indices and weights for one axis.
 
@@ -82,16 +66,21 @@ def _upscale_axis(grid: np.ndarray, factor: int, method: str, axis: int) -> np.n
     return out.T if axis == 0 else out
 
 
-def upscale_baseline(ri: RangeImage, spec: UpscaleSpec) -> RangeImage:
-    """Upscale the raw depth grid with the chosen kernel.
+def upscale_baseline(ri: RangeImage, method: str, factor_x: int, factor_y: int = 1) -> RangeImage:
+    """Upscale the raw depth grid by factor_x x factor_y with the method's
+    kernel (a SUPPORT key). The parameters carry PipelineConfig's field
+    names.
 
     EMPTY participates as 0.0. Output values are clamped to
     [0, max_depth]; anything below min_depth becomes EMPTY so the result
     is still a valid RI.
     """
+    if method not in SUPPORT:
+        raise ValueError(f"method must be one of {sorted(SUPPORT)}, got {method!r}")
+    check_factors(factor_x, factor_y)
     g = ri.geometry
-    out = _upscale_axis(ri.depth, spec.factor_x, spec.method, axis=1)
-    out = _upscale_axis(out, spec.factor_y, spec.method, axis=0)
+    out = _upscale_axis(ri.depth, factor_x, method, axis=1)
+    out = _upscale_axis(out, factor_y, method, axis=0)
     out = np.clip(out, 0.0, g.max_depth)
     out[out < g.min_depth] = EMPTY
-    return RangeImage(scale_geometry(g, spec.factor_x, spec.factor_y), out)
+    return RangeImage(scale_geometry(g, factor_x, factor_y), out)

@@ -45,6 +45,8 @@ _TYPES = get_type_hints(PipelineConfig)
 _CHOICES = {"method": METHODS, "policy_order": sorted(_POLICY_NAMES), "report_format": REPORT_FORMATS}
 #: the fields sweep takes one or more values of, and runs the grid over
 _SWEPT = ("method", "policy_order", "grad_threshold")
+#: the values a config file may give an on/off flag, in any case
+_ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _GEOMETRY = [f.name for f in fields(RiGeometry)]
 _FACTORS = ["factor_x", "factor_y"]
 
@@ -100,7 +102,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         if action is None:
             raise ValueError(f"{path}: unknown config key {key!r}")
         if action.nargs == 0:  # on/off flag
-            defaults[action.dest] = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _ON_OFF:
+                raise ValueError(f"{path}: {key} must be one of {sorted(_ON_OFF)}, got {value!r}")
+            defaults[action.dest] = _ON_OFF[value.lower()]
             continue
         try:
             value = (action.type or str)(value)

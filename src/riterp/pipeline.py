@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import SUPPORT, UpscaleSpec, upscale_baseline
+from .baselines import SUPPORT, upscale_baseline
 from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, DEFAULT_WINDOW_W,
-                       InterpPolicy, check_window, upscale_gradient)
+                       check_policy, check_window, upscale_gradient)
 from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometry, quantize
 from .metrics import KdTree, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
 from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
@@ -96,21 +96,13 @@ class PipelineConfig:
                     f"({self.factor_x}, {self.factor_y})"
                 )
             check_window(degraded, self.window_w, self.window_h)
-        self.policy  # validate InterpPolicy invariants
+        check_policy(self.grad_threshold, self.max_fills, self.policy_order)
         if self.bits is not None:
             check_bits(self.bits)
 
     @property
     def geometry(self) -> RiGeometry:
         return RiGeometry(**{f.name: getattr(self, f.name) for f in fields(RiGeometry)})
-
-    @property
-    def policy(self) -> InterpPolicy:
-        return InterpPolicy(
-            order=self.policy_order,
-            max_fills_per_window=self.max_fills,
-            gradient_threshold=self.grad_threshold,
-        )
 
     def echo(self) -> dict:
         """Flat (scalars-only) copy of every config field, so reports are
@@ -145,8 +137,8 @@ def prefix_key(spec: str, config: PipelineConfig) -> tuple:
 def cell_key(config: PipelineConfig) -> tuple:
     """The fields evaluate's numbers depend on besides the prefix: degrade,
     interp and score, and for method 'gradient' the gradient fields, of
-    which policy_order counts only under a fill budget (without one, both
-    orders fill the same sites)."""
+    which policy_order counts only when max_fills sets a fill budget
+    (gradient.interpolate reads the order only to spend one)."""
     names = [*STAGE_FIELDS["degrade"], *STAGE_FIELDS["interp"], *STAGE_FIELDS["score"]]
     if config.method == "gradient":
         names += [name for name in STAGE_FIELDS["gradient"]
@@ -187,9 +179,9 @@ def upscale_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage | None:
     if config.method == "none":
         return None
     if config.method == "gradient":
-        return upscale_gradient(ri, config.window_w, config.window_h, config.policy)
-    spec = UpscaleSpec(factor_x=config.factor_x, factor_y=config.factor_y, method=config.method)
-    return upscale_baseline(ri, spec)
+        return upscale_gradient(ri, config.window_w, config.window_h, config.grad_threshold,
+                                config.max_fills, config.policy_order)
+    return upscale_baseline(ri, config.method, config.factor_x, config.factor_y)
 
 
 def interp_mask(ri: RangeImage, factor_x: int, factor_y: int = 1) -> np.ndarray:

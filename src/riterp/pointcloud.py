@@ -1,6 +1,7 @@
 """Point cloud container plus KITTI .bin and binary PLY I/O."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,9 +133,11 @@ def read_ply(path: str | Path) -> PointCloud:
             names, formats, count = _ply_header(fh)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-        data = np.fromfile(fh, dtype={"names": names, "formats": formats}, count=count)
-    if data.shape[0] != count:
-        raise ValueError(f"{path}: expected {count} vertices, read {data.shape[0]}")
+        dtype = np.dtype({"names": names, "formats": formats})
+        room = (os.fstat(fh.fileno()).st_size - fh.tell()) // dtype.itemsize
+        if not 0 <= count <= room:
+            raise ValueError(f"{path}: vertex count {count}, but the body holds 0 to {room} vertices")
+        data = np.fromfile(fh, dtype=dtype, count=count)
     points = np.stack(
         [data["x"].astype(np.float64), data["y"].astype(np.float64),
          data["z"].astype(np.float64)], axis=1,
@@ -174,6 +177,8 @@ def _ply_header(fh) -> tuple[list[str], list[str], int]:
                 raise ValueError("list vertex properties unsupported")
             if tokens[1] not in _PLY_TYPES:
                 raise ValueError(f"unsupported PLY property type {tokens[1]!r}")
+            if tokens[2] in names:
+                raise ValueError(f"duplicate vertex property {tokens[2]!r}")
             names.append(tokens[2])
             formats.append(_PLY_TYPES[tokens[1]])
     if fmt != "binary_little_endian":

@@ -167,26 +167,15 @@ def decode_kitti_bin(path) -> list[tuple[float, float, float, float]]:
 
 # ------------------------------------------------------- plan ordering
 
-def _plan_sites(plan) -> list[tuple]:
-    """(policy key, row, col) of every site, read from the plan's parallel
-    arrays; the key sorts the policy's preferred site first."""
-    sign = 1.0 if plan.policy.order == "ascending_depth" else -1.0
-    return [(sign * d, r, c) for d, r, c in
-            zip(plan.neighbor_depth.tolist(), plan.row.tolist(), plan.col.tolist())]
-
-
-def brute_sorted_sites(plan) -> list[tuple[int, int]]:
-    """(row, col) of every site of the plan, policy-ordered by a plain
-    sort on (key, row, col)."""
-    return [(r, c) for _, r, c in sorted(_plan_sites(plan))]
-
-
-def brute_best_k_per_window(plan, k: int) -> set:
-    """(row, col) of the k best valid sites per window under the policy,
-    with each site's window worked out from its pixel."""
+def brute_best_k_per_window(plan, k: int | None, policy_order: str) -> set:
+    """(row, col) of the k best valid sites per window under the policy
+    (every valid site for k None), by a plain sort on (key, row, col)
+    where the key sorts the policy's preferred site first, with each
+    site's window worked out from its pixel."""
+    sign = 1.0 if policy_order == "ascending_depth" else -1.0
     windows: dict[tuple[int, int], list] = {}
-    for site, valid in zip(_plan_sites(plan), plan.valid.tolist()):
+    for d, r, c, valid in zip(plan.neighbor_depth.tolist(), plan.row.tolist(), plan.col.tolist(),
+                              plan.valid.tolist()):
         if valid:
-            _, r, c = site
-            windows.setdefault((r // plan.window_h, c // plan.window_w), []).append(site)
+            windows.setdefault((r // plan.window_h, c // plan.window_w), []).append((sign * d, r, c))
     return {(r, c) for sites in windows.values() for _, r, c in sorted(sites)[:k]}

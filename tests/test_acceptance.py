@@ -6,7 +6,7 @@ No KITTI scans ship with the repository, so the experiments run on the
 deterministic synthetic scenes (seeds 0-4); point RITERP_KITTI_DIR at a
 directory of Velodyne .bin files to add real scans to criteria 1/2/5.
 
-The gradient runs use gradient_threshold = 0.8 (well under the 2.5 the
+The gradient runs use grad_threshold = 0.8 (well under the 2.5 the
 noise criterion allows): the boundary-safety invariant then caps every
 fill's radial error at 0.4 m, which keeps interpolated points within
 delta = 0.5 m of the reference surface and makes the zero-noise outcome
@@ -23,7 +23,6 @@ from riterp import (
     PointCloud,
     RangeImage,
     RiGeometry,
-    UpscaleSpec,
     cloud_to_ri,
     quantize,
     ri_to_cloud,
@@ -33,7 +32,6 @@ from riterp import (
     upscale_gradient,
 )
 from riterp import filter_by_range
-from riterp.gradient import InterpPolicy
 from riterp.pipeline import degrade_ri, interp_mask, load_scan
 
 from conftest import kitti_scans, random_ri
@@ -109,7 +107,8 @@ def test_criterion_2_noise_ratio(experiment):
     cloud = filter_by_range(load_scan(spec), config.range_min, config.range_max)
     ref_ri = cloud_to_ri(cloud, config.geometry)
     deg = degrade_ri(ref_ri, config.factor_x, config.factor_y, config.bits)
-    up = upscale_gradient(deg, config.window_w, config.window_h, config.policy)
+    up = upscale_gradient(deg, config.window_w, config.window_h, config.grad_threshold,
+                          config.max_fills, config.policy_order)
     ref_cloud = ri_to_cloud(ref_ri)
     test_cloud = ri_to_cloud(up)
     mask = interp_mask(up, config.factor_x, config.factor_y)
@@ -137,8 +136,7 @@ def test_criterion_3_boundary_safety_randomized():
         geom = RiGeometry(width=width, height=height, pitch_max=2.0,
                           pitch_min=-24.8, min_depth=2.0, max_depth=120.0)
         ri = random_ri(rng, geom, empty_fraction=float(rng.uniform(0.05, 0.9)))
-        out = upscale_gradient(ri, window_w, window_h,
-                               InterpPolicy(gradient_threshold=threshold))
+        out = upscale_gradient(ri, window_w, window_h, grad_threshold=threshold)
         fills = out.depth[:, 1::2]
         rows, gaps = np.nonzero(fills != 0.0)
         left = ri.depth[rows, gaps]
@@ -167,7 +165,7 @@ def test_criterion_4_oracle_equivalence():
     for trial in range(100):
         ri = random_ri(rng, geom, empty_fraction=float(rng.uniform(0.1, 0.6)))
         method = ("bilinear", "bicubic", "lanczos3")[trial % 3]
-        got = upscale_baseline(ri, UpscaleSpec(2, 1, method)).depth
+        got = upscale_baseline(ri, method, 2, 1).depth
         want = brute_upscale(ri.depth, 2, 1, method, geom.min_depth, geom.max_depth)
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riterp import EMPTY, SUPPORT, RangeImage, RiGeometry, UpscaleSpec, upscale_baseline
+from riterp import EMPTY, SUPPORT, RangeImage, RiGeometry, upscale_baseline
 from riterp.baselines import _axis_taps, _kernel
 
 from conftest import random_ri
@@ -10,14 +10,17 @@ from oracles import brute_upscale
 METHODS = ("bilinear", "bicubic", "lanczos3")
 
 
-class TestUpscaleSpec:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            UpscaleSpec(factor_x=2, factor_y=1, method="nearest")
+class TestRejections:
+    def test_rejects_unknown_method(self, small_geometry):
+        ri = random_ri(np.random.default_rng(0), small_geometry)
+        with pytest.raises(ValueError, match="method.*'nearest'"):
+            upscale_baseline(ri, "nearest", 2, 1)
 
-    def test_rejects_zero_factor(self):
+    @pytest.mark.parametrize("factor_x, factor_y", [(0, 1), (2, 0), (-2, 1)])
+    def test_rejects_bad_factor(self, small_geometry, factor_x, factor_y):
+        ri = random_ri(np.random.default_rng(0), small_geometry)
         with pytest.raises(ValueError, match="factors"):
-            UpscaleSpec(factor_x=0, factor_y=1, method="bilinear")
+            upscale_baseline(ri, "bilinear", factor_x, factor_y)
 
 
 def taps_at(method: str, phase: float) -> np.ndarray:
@@ -65,7 +68,7 @@ class TestUpscaleBaseline:
         grid = np.full((4, 16), 7.0)
         ri = RangeImage(small_geometry, grid)
         for method in METHODS:
-            out = upscale_baseline(ri, UpscaleSpec(2, 1, method))
+            out = upscale_baseline(ri, method, 2, 1)
             np.testing.assert_allclose(out.depth, 7.0, rtol=1e-12)
 
     def test_bilinear_two_pixel_row(self):
@@ -74,12 +77,12 @@ class TestUpscaleBaseline:
         geom = RiGeometry(width=2, height=2, pitch_max=2, pitch_min=-24.8,
                           min_depth=2.0, max_depth=120.0)
         ri = RangeImage(geom, np.array([[4.0, 8.0], [4.0, 8.0]]))
-        out = upscale_baseline(ri, UpscaleSpec(2, 1, "bilinear"))
+        out = upscale_baseline(ri, "bilinear", 2, 1)
         np.testing.assert_allclose(out.depth[0], [4.0, 5.0, 7.0, 8.0], atol=1e-12)
 
     def test_output_geometry_scales(self, small_geometry):
         ri = random_ri(np.random.default_rng(1), small_geometry)
-        out = upscale_baseline(ri, UpscaleSpec(2, 2, "bilinear"))
+        out = upscale_baseline(ri, "bilinear", 2, 2)
         assert (out.geometry.width, out.geometry.height) == (32, 8)
         assert out.geometry.pitch_max == small_geometry.pitch_max
 
@@ -88,7 +91,7 @@ class TestUpscaleBaseline:
         rng = np.random.default_rng(99)
         for _ in range(100):
             ri = random_ri(rng, small_geometry)
-            out = upscale_baseline(ri, UpscaleSpec(2, 1, method))
+            out = upscale_baseline(ri, method, 2, 1)
             expected = brute_upscale(ri.depth, 2, 1, method,
                                      small_geometry.min_depth, small_geometry.max_depth)
             np.testing.assert_allclose(out.depth, expected, atol=1e-5)
@@ -98,7 +101,7 @@ class TestUpscaleBaseline:
         rng = np.random.default_rng(7)
         for _ in range(10):
             ri = random_ri(rng, small_geometry)
-            out = upscale_baseline(ri, UpscaleSpec(2, 2, method))
+            out = upscale_baseline(ri, method, 2, 2)
             expected = brute_upscale(ri.depth, 2, 2, method,
                                      small_geometry.min_depth, small_geometry.max_depth)
             np.testing.assert_allclose(out.depth, expected, atol=1e-5)
@@ -109,7 +112,7 @@ class TestUpscaleBaseline:
         rng = np.random.default_rng(3)
         grid = rng.uniform(10.0, 100.0, size=(4, 16))
         ri = RangeImage(small_geometry, grid)
-        out = upscale_baseline(ri, UpscaleSpec(3, 1, method))
+        out = upscale_baseline(ri, method, 3, 1)
         assert np.array_equal(out.depth[:, 1::3], grid)
 
     def test_empty_participates_as_zero(self):
@@ -118,7 +121,7 @@ class TestUpscaleBaseline:
                           min_depth=2.0, max_depth=120.0)
         grid = np.array([[50.0, EMPTY, 50.0, 50.0]] * 2)
         ri = RangeImage(geom, grid)
-        out = upscale_baseline(ri, UpscaleSpec(2, 1, "bilinear"))
+        out = upscale_baseline(ri, "bilinear", 2, 1)
         # sample between 50 and EMPTY: 0.75*50 + 0.25*0 = 37.5
         assert out.depth[0, 1] == pytest.approx(37.5)
 
@@ -127,7 +130,7 @@ class TestUpscaleBaseline:
                           min_depth=2.0, max_depth=120.0)
         grid = np.array([[2.5, EMPTY, EMPTY, EMPTY]] * 2)
         ri = RangeImage(geom, grid)
-        out = upscale_baseline(ri, UpscaleSpec(2, 1, "bilinear"))
+        out = upscale_baseline(ri, "bilinear", 2, 1)
         # 0.25 * 2.5 = 0.625 < min_depth -> EMPTY
         assert out.depth[0, 2] == EMPTY
 
@@ -138,14 +141,14 @@ class TestUpscaleBaseline:
         grid = np.array([[2.0, 2.0, 2.0, 2.0, 120.0, 120.0, 120.0, 120.0]] * 2)
         ri = RangeImage(geom, grid)
         for method in ("bicubic", "lanczos3"):
-            out = upscale_baseline(ri, UpscaleSpec(2, 1, method))
+            out = upscale_baseline(ri, method, 2, 1)
             assert out.depth.max() <= 120.0
 
     def test_bilinear_output_within_neighborhood(self, small_geometry):
         rng = np.random.default_rng(17)
         for _ in range(20):
             ri = random_ri(rng, small_geometry)
-            out = upscale_baseline(ri, UpscaleSpec(2, 2, "bilinear"))
+            out = upscale_baseline(ri, "bilinear", 2, 2)
             padded = ri.depth
             # each output pixel lies within [min, max] of its 2x2 source patch
             for t in range(out.geometry.height):

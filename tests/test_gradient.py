@@ -9,7 +9,7 @@ from riterp import (
     ASCENDING,
     DESCENDING,
     EMPTY,
-    InterpPolicy,
+    PipelineConfig,
     RangeImage,
     RiGeometry,
     downsample_ri,
@@ -19,9 +19,10 @@ from riterp import (
     ri_to_cloud,
     upscale_gradient,
 )
+from riterp.gradient import check_policy
 
 from conftest import random_ri
-from oracles import brute_best_k_per_window, brute_sorted_sites
+from oracles import brute_best_k_per_window
 
 
 def row_geometry(width, height=2):
@@ -34,24 +35,42 @@ def row_ri(values, height=2):
     return RangeImage(row_geometry(len(values), height), grid)
 
 
+BAD_POLICIES = [
+    (dict(policy_order="sideways"), "policy_order"),
+    (dict(grad_threshold=0.0), "grad_threshold"),
+    (dict(grad_threshold=float("nan")), "grad_threshold"),
+    (dict(max_fills=-1), "max_fills"),
+]
+
+
 class TestPolicyValidation:
-    def test_rejects_unknown_order(self):
-        with pytest.raises(ValueError, match="order"):
-            InterpPolicy(order="sideways")
+    @pytest.mark.parametrize("bad, name", BAD_POLICIES)
+    def test_check_policy_rejects(self, bad, name):
+        with pytest.raises(ValueError, match=name):
+            check_policy(**bad)
 
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError, match="threshold"):
-            InterpPolicy(gradient_threshold=0.0)
+    @pytest.mark.parametrize("method", ["gradient", "bilinear"])
+    @pytest.mark.parametrize("bad, name", BAD_POLICIES)
+    def test_config_rejects_for_every_method(self, method, bad, name):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(method=method, **bad)
 
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            InterpPolicy(max_fills_per_window=-1)
+    @pytest.mark.parametrize("bad, name", BAD_POLICIES)
+    def test_upscale_gradient_rejects(self, small_geometry, bad, name):
+        ri = random_ri(np.random.default_rng(0), small_geometry)
+        with pytest.raises(ValueError, match=name):
+            upscale_gradient(ri, 4, 2, **bad)
+
+    def test_accepts_every_order_and_budget(self):
+        for order in (ASCENDING, DESCENDING):
+            for max_fills in (None, 0, 5):
+                check_policy(0.1, max_fills, order)
 
 
 class TestExploreWindows:
     def test_small_gradient_pair_is_valid(self):
         ri = row_ri([4.0, 4.2])
-        plan = explore_windows(ri, window_w=2, window_h=1, policy=InterpPolicy(gradient_threshold=2.5))
+        plan = explore_windows(ri, window_w=2, window_h=1, grad_threshold=2.5)
         row0 = plan.row == 0
         assert row0.sum() == 1
         assert plan.valid[row0][0]
@@ -60,23 +79,23 @@ class TestExploreWindows:
 
     def test_empty_neighbor_invalidates(self):
         ri = row_ri([4.0, EMPTY])
-        plan = explore_windows(ri, 2, 1, InterpPolicy())
+        plan = explore_windows(ri, 2, 1)
         row0 = plan.row == 0
         assert row0.sum() == 1
         assert not plan.valid[row0][0]
 
     def test_threshold_gates_validity(self):
         ri = row_ri([4.0, 10.0])
-        strict = explore_windows(ri, 2, 1, InterpPolicy(gradient_threshold=2.5))
+        strict = explore_windows(ri, 2, 1, grad_threshold=2.5)
         assert not strict.valid.any()
-        loose = explore_windows(ri, 2, 1, InterpPolicy(gradient_threshold=10.0))
+        loose = explore_windows(ri, 2, 1, grad_threshold=10.0)
         row0 = loose.row == 0
         assert loose.valid[row0][0]
         assert loose.fill_value[row0][0] == pytest.approx(7.0)
 
     def test_window_border_pairs_excluded(self):
         ri = row_ri([10.0, 11.0, 12.0, 13.0])
-        plan = explore_windows(ri, window_w=2, window_h=1, policy=InterpPolicy())
+        plan = explore_windows(ri, window_w=2, window_h=1)
         assert sorted(plan.col[plan.row == 0].tolist()) == [0, 2]  # pair (1, 2) crosses the window border
 
     def test_non_tiling_window_rejected(self):
@@ -95,18 +114,9 @@ class TestExploreWindows:
         with pytest.raises(ValueError, match="does not tile"):
             upscale_gradient(ri, 32, window_h)
 
-    @pytest.mark.parametrize("order", [ASCENDING, DESCENDING])
-    def test_ordering_matches_brute_sort(self, order):
-        rng = np.random.default_rng(0)
-        geom = row_geometry(8, height=2)
-        for _ in range(25):
-            ri = random_ri(rng, geom, empty_fraction=0.25)
-            plan = explore_windows(ri, 4, 2, InterpPolicy(order=order))
-            assert list(zip(plan.row.tolist(), plan.col.tolist())) == brute_sorted_sites(plan)
-
     def test_plan_covers_all_inside_pairs(self, synth_ri):
         deg = downsample_ri(synth_ri, 2, 1)
-        plan = explore_windows(deg, 32, 4, InterpPolicy())
+        plan = explore_windows(deg, 32, 4)
         g = deg.geometry
         expected = g.height * (g.width - g.width // 32)
         assert len(plan) == expected
@@ -114,43 +124,38 @@ class TestExploreWindows:
 
 @st.composite
 def plan_cases(draw):
-    """(ri, window_w, window_h, policy): windows that tile a small random
-    image, a threshold, an order and a budget; the image is optionally
-    quantized to 4-8 bits, which makes many equal non-EMPTY depths."""
+    """(ri, window_w, window_h, grad_threshold, max_fills, policy_order):
+    windows that tile a small random image, a threshold, a budget and an
+    order; the image is optionally quantized to 4-8 bits, which makes
+    many equal non-EMPTY depths."""
     window_w = draw(st.integers(2, 6))
     window_h = draw(st.integers(1, 3))
-    width = window_w * draw(st.integers(1, 4))
-    height = window_h * draw(st.integers(max(1, math.ceil(2 / window_h)), 3))
+    width = window_w * draw(st.integers(1, 8))
+    height = window_h * draw(st.integers(max(1, math.ceil(2 / window_h)), 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ri = random_ri(rng, row_geometry(width, height), empty_fraction=draw(st.floats(0.0, 0.8)))
     bits = draw(st.one_of(st.none(), st.integers(4, 8)))
     if bits is not None:
         ri = quantize(ri, bits)
-    policy = InterpPolicy(order=draw(st.sampled_from([ASCENDING, DESCENDING])),
-                          max_fills_per_window=draw(st.one_of(st.none(), st.integers(0, 3))),
-                          gradient_threshold=draw(st.floats(0.5, 80.0)))
-    return ri, window_w, window_h, policy
+    return (ri, window_w, window_h, draw(st.floats(0.5, 80.0)),
+            draw(st.one_of(st.none(), st.integers(0, 3))), draw(st.sampled_from([ASCENDING, DESCENDING])))
 
 
 class TestPlanProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(plan_cases())
     def test_plan_and_output(self, case):
-        ri, window_w, window_h, policy = case
-        plan = explore_windows(ri, window_w, window_h, policy)
-        assert list(zip(plan.row.tolist(), plan.col.tolist())) == brute_sorted_sites(plan)
-        out = interpolate(ri, plan)
-        assert_boundary_safe(ri, out, policy.gradient_threshold)
-        rows, gaps = np.nonzero(out.depth[:, 1::2] != EMPTY)
-        _, per_window = np.unique(np.stack([rows // window_h, gaps // window_w]), axis=1,
-                                  return_counts=True)
-        if policy.max_fills_per_window is not None:
-            assert (per_window <= policy.max_fills_per_window).all()
-        else:
+        ri, window_w, window_h, grad_threshold, max_fills, policy_order = case
+        plan = explore_windows(ri, window_w, window_h, grad_threshold)
+        sites = list(zip(plan.row.tolist(), plan.col.tolist()))
+        assert sites == sorted(set(sites))  # (row, col) order, each site once
+        out = interpolate(ri, plan, max_fills, policy_order)
+        assert_boundary_safe(ri, out, grad_threshold)
+        assert filled_sites(out) == brute_best_k_per_window(plan, max_fills, policy_order)
+        if max_fills is None:
             # without a budget the order decides nothing
-            other = DESCENDING if policy.order == ASCENDING else ASCENDING
-            flipped = upscale_gradient(ri, window_w, window_h, InterpPolicy(
-                order=other, gradient_threshold=policy.gradient_threshold))
+            other = DESCENDING if policy_order == ASCENDING else ASCENDING
+            flipped = upscale_gradient(ri, window_w, window_h, grad_threshold, None, other)
             assert np.array_equal(flipped.depth, out.depth)
 
 
@@ -160,8 +165,7 @@ class TestInterpolate:
         # site (0,1) valid fill 4.1; (1,2) and (2,3) invalid via EMPTY;
         # odd column 7 is the window's last odd column -> EMPTY
         ri = row_ri([4.0, 4.2, EMPTY, 10.0])
-        out = upscale_gradient(ri, window_w=4, window_h=1,
-                               policy=InterpPolicy(gradient_threshold=2.5))
+        out = upscale_gradient(ri, window_w=4, window_h=1, grad_threshold=2.5)
         np.testing.assert_allclose(
             out.depth[0], [4.0, 4.1, 4.2, EMPTY, EMPTY, EMPTY, 10.0, EMPTY])
 
@@ -175,21 +179,19 @@ class TestInterpolate:
         # window holds two valid sites with neighbor depths {3, 7}: under
         # ascending order and budget 1 only the depth-3 site fills
         ri = row_ri([7.0, 7.4, 3.0, 3.2])
-        policy = InterpPolicy(order=ASCENDING, max_fills_per_window=1)
-        out = upscale_gradient(ri, window_w=4, window_h=1, policy=policy)
+        out = upscale_gradient(ri, window_w=4, window_h=1, max_fills=1, policy_order=ASCENDING)
         assert out.depth[0, 5] == pytest.approx(3.1)  # depth-3 site filled
         assert out.depth[0, 1] == EMPTY               # depth-7 site truncated
 
     def test_budget_descending(self):
         ri = row_ri([7.0, 7.4, 3.0, 3.2])
-        policy = InterpPolicy(order=DESCENDING, max_fills_per_window=1)
-        out = upscale_gradient(ri, window_w=4, window_h=1, policy=policy)
+        out = upscale_gradient(ri, window_w=4, window_h=1, max_fills=1, policy_order=DESCENDING)
         assert out.depth[0, 1] == pytest.approx(7.2)
         assert out.depth[0, 5] == EMPTY
 
     def test_zero_budget_fills_nothing(self, small_geometry):
         ri = random_ri(np.random.default_rng(1), small_geometry)
-        out = upscale_gradient(ri, 4, 2, InterpPolicy(max_fills_per_window=0))
+        out = upscale_gradient(ri, 4, 2, max_fills=0)
         assert np.array_equal(out.depth[:, 0::2], ri.depth)
         assert (out.depth[:, 1::2] == EMPTY).all()
 
@@ -198,14 +200,9 @@ class TestInterpolate:
         for order in (ASCENDING, DESCENDING):
             for k in (1, 2, 3):
                 ri = random_ri(rng, small_geometry, empty_fraction=0.2)
-                policy = InterpPolicy(order=order, max_fills_per_window=k,
-                                      gradient_threshold=40.0)
-                plan = explore_windows(ri, 4, 2, policy)
-                out = interpolate(ri, plan)
-                # odd output column 2c+1 corresponds to source pair column c
-                filled = {(int(r), int(c))
-                          for r, c in zip(*np.nonzero(out.depth[:, 1::2] != EMPTY))}
-                assert filled == brute_best_k_per_window(plan, k)
+                plan = explore_windows(ri, 4, 2, grad_threshold=40.0)
+                out = interpolate(ri, plan, k, order)
+                assert filled_sites(out) == brute_best_k_per_window(plan, k, order)
 
     def test_plan_mismatch_rejected(self, small_geometry):
         ri = random_ri(np.random.default_rng(2), small_geometry)
@@ -216,9 +213,8 @@ class TestInterpolate:
 
     def test_composition_equals_phases(self, synth_ri):
         deg = downsample_ri(synth_ri, 2, 1)
-        policy = InterpPolicy(gradient_threshold=1.5)
-        combined = upscale_gradient(deg, 32, 4, policy)
-        staged = interpolate(deg, explore_windows(deg, 32, 4, policy))
+        combined = upscale_gradient(deg, 32, 4, 1.5, 3, DESCENDING)
+        staged = interpolate(deg, explore_windows(deg, 32, 4, 1.5), 3, DESCENDING)
         assert np.array_equal(combined.depth, staged.depth)
 
     def test_paper_resolution_chain(self, synth_ri):
@@ -271,7 +267,7 @@ class TestInvariants:
         for _ in range(50):
             geom = row_geometry(16, height=4)
             ri = random_ri(rng, geom, empty_fraction=rng.uniform(0.1, 0.8))
-            out = upscale_gradient(ri, 4, 2, InterpPolicy(gradient_threshold=thr))
+            out = upscale_gradient(ri, 4, 2, grad_threshold=thr)
             assert_boundary_safe(ri, out, thr)
 
     def test_3d_locality_of_fills(self, synth_ri):
@@ -279,7 +275,7 @@ class TestInvariants:
         # half-pixel arc of one of its source neighbors' reconstructions
         thr = 2.5
         deg = downsample_ri(synth_ri, 2, 1)
-        out = upscale_gradient(deg, 32, 4, InterpPolicy(gradient_threshold=thr))
+        out = upscale_gradient(deg, 32, 4, grad_threshold=thr)
         cloud = ri_to_cloud(out)
         rows, cols = np.nonzero(out.occupied)
         pts = cloud.points
@@ -299,6 +295,12 @@ class TestInvariants:
             assert best <= 1e-9
             checked += 1
         assert checked > 1000
+
+
+def filled_sites(out: RangeImage) -> set:
+    """(row, col) of every filled site: output column 2c + 1 holds the
+    site between source columns c and c + 1."""
+    return {(int(r), int(c)) for r, c in zip(*np.nonzero(out.depth[:, 1::2] != EMPTY))}
 
 
 def assert_boundary_safe(src: RangeImage, out: RangeImage, threshold: float):

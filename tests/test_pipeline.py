@@ -169,7 +169,8 @@ class TestRunScan:
         geom = config.geometry
         ref = cloud_to_ri(cloud, geom)
         deg = downsample_ri(ref, 2, 1)
-        up = upscale_gradient(deg, config.window_w, config.window_h, config.policy)
+        up = upscale_gradient(deg, config.window_w, config.window_h, config.grad_threshold,
+                              config.max_fills, config.policy_order)
         ref_cloud = ri_to_cloud(ref)
         test_cloud = ri_to_cloud(up)
         _, cols = np.nonzero(up.occupied)
@@ -620,6 +621,26 @@ class TestCli:
         assert main(["pipeline", "synth:0", "--config", str(cfg), "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())[0]
         assert report["policy_order"] == "descending_depth"
+
+    @pytest.mark.parametrize("value, written", [("TRUE", False), ("Yes", False), ("1", False),
+                                                ("no", True)])
+    def test_config_file_on_off_spellings(self, value, written, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"width = 256\nno_artifacts = {value}\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "synth:0", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "synth_0_reference.pgm").exists() == written
+
+    @pytest.mark.parametrize("value", ["ture", "on", ""])
+    def test_config_file_bad_on_off_value_rejected(self, value, tmp_path, capsys, monkeypatch):
+        calls = count_loads(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"width = 256\nno_artifacts = {value}\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "synth:0", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(cfg) in err and "no_artifacts" in err
+        assert not calls and not out.exists()
 
     def test_config_file_bad_value_names_file_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

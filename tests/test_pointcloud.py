@@ -142,6 +142,26 @@ class TestWritePly:
         assert str(path) in str(err.value)
 
 
+    @pytest.mark.parametrize("count", ["-1", "11", "99999999999999999999"])
+    def test_read_ply_impossible_vertex_count_names_the_file(self, count, tmp_path):
+        path = tmp_path / "count.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex {}\n"
+                  "property float x\nproperty float y\nproperty float z\nend_header\n")
+        path.write_bytes(header.format(count).encode("ascii") + bytes(10 * 12))
+        with pytest.raises(ValueError, match="vertex") as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+
+    def test_read_ply_duplicate_property_names_the_file(self, tmp_path):
+        path = tmp_path / "twice.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                  "property float x\nproperty float x\nproperty float y\n"
+                  "property float z\nend_header\n")
+        path.write_bytes(header.encode("ascii") + bytes(16))
+        with pytest.raises(ValueError, match="duplicate.*'x'") as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+
     def test_read_ply_header_cut_names_the_file(self, tmp_path):
         path = tmp_path / "cut.ply"
         write_ply(PointCloud(points=np.ones((10, 3))), path)

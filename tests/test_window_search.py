@@ -19,7 +19,6 @@ from riterp import (
     KITTI_GEOMETRY,
     RangeImage,
     RiGeometry,
-    UpscaleSpec,
     downsample_ri,
     quantize,
     ri_to_cloud,
@@ -70,7 +69,7 @@ def make_pair(seed: int, kind: str, geom: RiGeometry) -> tuple[RangeImage, Range
     elif kind == "bilinear" and geom.width % 2 == 0:
         # phantom depths between decimated neighbours, as the pipeline scores them
         deg = downsample_ri(RangeImage(geom, ref), 2, 1)
-        test = upscale_baseline(deg, UpscaleSpec(factor_x=2, factor_y=1, method="bilinear")).depth
+        test = upscale_baseline(deg, "bilinear", 2, 1).depth
     elif kind == "seam":
         # a near-constant surface cut to the columns next to the +-pi seam
         keep = np.zeros(geom.width, dtype=bool)
