@@ -4,10 +4,13 @@ classification, and chamfer distance between clouds.
 Nearest neighbours are exact and use the range image as their index when
 both clouds come from RIs of one geometry: each point is compared with
 the other cloud's points in the 3 x 7 pixels around its own pixel
-(columns wrap at the +-pi seam). Every point outside that window lies on
-a ray at least theta = min(2 dphi, 2 asin(cos phi_max sin(2 dpsi))) away,
-so a window minimum below depth * sin(min(theta, pi/2)) is the exact
-answer. Reference points left uncertified are searched again over
+(columns wrap at the +-pi seam). The window's centre row is searched
+densely, the rows above and below only for the points whose centre-row
+minimum is above depth * sin(min(dphi, pi/2)) (dphi the row pitch): no
+point on another row is nearer than that. Every point outside the window
+lies on a ray at least theta = min(2 dphi, 2 asin(cos phi_max sin(2 dpsi)))
+away, so a window minimum below depth * sin(min(theta, pi/2)) is the
+exact answer. Reference points left uncertified are searched again over
 widening windows (5 x 15, 9 x 31, ...) with the same certificate.
 KdTree (scipy's cKDTree) resolves the points still without one, and
 every point when the geometries differ.
@@ -79,7 +82,8 @@ class KdTree:
     """Immutable exact nearest-neighbor index over a point cloud.
 
     Backed by scipy's cKDTree with sliding-midpoint splits (Maneewongvatana
-    & Mount 1999), which build faster than median splits and answer the
+    & Mount 1999) and leaves of up to 32 points (scipy's default is 16),
+    which build faster than median splits and finer leaves and answer the
     same exact queries; distances match a brute-force scan exactly (same
     float64 arithmetic).
     """
@@ -87,7 +91,8 @@ class KdTree:
     def __init__(self, cloud: PointCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
-        self._tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+        self._tree = cKDTree(cloud.points, leafsize=32, balanced_tree=False,
+                              compact_nodes=False)
 
     def query(self, points: np.ndarray | PointCloud) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-neighbor (distances, indices) for each query point."""
@@ -136,64 +141,123 @@ def window_radius(geom: RiGeometry, rows: int, cols: int) -> float:
     return math.sin(min(theta, math.pi / 2))
 
 
-def _coordinate_band(ri: RangeImage, points: np.ndarray, starts: np.ndarray, r0: int, r1: int,
-                     pad_cols: int) -> np.ndarray:
-    """(3, r1 - r0, W + 2 pad_cols) grid of x, y, z holding ri_to_cloud(ri)'s
-    points of rows r0 .. r1 - 1 at their pixels; NaN at EMPTY pixels and in
-    rows outside the image. `starts[v]` is the index of row v's first
-    point. Padding columns repeat the columns across the +-pi seam."""
-    w = ri.geometry.width
+def _coordinate_band(occupied: np.ndarray, points: np.ndarray, starts: np.ndarray, r0: int,
+                     r1: int, pad_cols: int) -> np.ndarray:
+    """(3, r1 - r0, W + 2 pad_cols) grid of x, y, z holding an image's
+    points of rows r0 .. r1 - 1 at their pixels; NaN at EMPTY pixels.
+    `occupied` is the image's mask, `points` ri_to_cloud's points and
+    `starts[v]` the index of row v's first point. Padding columns repeat
+    the columns across the +-pi seam."""
+    w = occupied.shape[1]
     band = np.full((3, r1 - r0, w + 2 * pad_cols), np.nan)
-    lo, hi = max(r0, 0), min(r1, ri.geometry.height)
-    core = band[:, lo - r0:hi - r0, pad_cols:pad_cols + w]
-    occupied, inside = ri.occupied[lo:hi], points[starts[lo]:starts[hi]]
+    core = band[:, :, pad_cols:pad_cols + w]
+    mask, inside = occupied[r0:r1], points[starts[r0]:starts[r1]]
     for axis in range(3):
-        core[axis][occupied] = inside[:, axis]
+        core[axis][mask] = inside[:, axis]
     if pad_cols:
         band[:, :, :pad_cols] = band[:, :, w:w + pad_cols]
         band[:, :, -pad_cols:] = band[:, :, pad_cols:2 * pad_cols]
     return band
 
 
-def _row_starts(ri: RangeImage) -> np.ndarray:
-    """Index of each row's first point in ri_to_cloud(ri), plus the total."""
-    return np.concatenate([[0], np.cumsum(np.count_nonzero(ri.occupied, axis=1))])
+def _row_starts(occupied: np.ndarray) -> np.ndarray:
+    """Index of each row's first point in ri_to_cloud's output for an
+    image with this mask, plus the total."""
+    return np.concatenate([[0], np.cumsum(np.count_nonzero(occupied, axis=1))])
+
+
+def _index_grid(occupied: np.ndarray) -> np.ndarray:
+    """Flat (H + 1) x W grid of each pixel's index in ri_to_cloud's output
+    for an image with this mask; -1 at EMPTY pixels and in the extra last
+    row, which stands for every row outside the image."""
+    h, w = occupied.shape
+    index = np.full((h + 1, w), -1, dtype=np.intp)
+    index[:h][occupied] = np.arange(np.count_nonzero(occupied))
+    return index.ravel()
+
+
+def _gathered_minima(index: np.ndarray, w: int, pa: np.ndarray, q: np.ndarray, v: np.ndarray,
+                     u: np.ndarray, dv: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Squared distance from each point q[i], at pixel (v[i], u[i]), to the
+    nearest of pa's points at the pixels (v[i] + dv, u[i] + du), or inf if
+    there is none. `index` is the _index_grid of pa's image, w its width;
+    rows outside the image are skipped and columns wrap at the seam. The
+    points are gathered in chunks of at most as many pixels as a band of
+    the window pass."""
+    h = index.size // w - 1
+    chunk = max(1, _BAND_ROWS * w // (dv.size * du.size))
+    out = np.empty(len(q))
+    for s in range(0, len(q), chunk):
+        part = slice(s, s + chunk)
+        rows = v[part, None] + dv
+        rows[(rows < 0) | (rows >= h)] = h
+        cols = (u[part, None] + du) % w
+        near = index.take(rows[:, :, None] * w + cols[:, None, :])
+        diff = pa.take(near, axis=0)
+        diff -= q[part, None, None]
+        np.square(diff, out=diff)
+        d2 = diff[..., 0] + diff[..., 1]
+        d2 += diff[..., 2]
+        d2[near < 0] = np.inf
+        out[part] = d2.min(axis=(1, 2))
+    return out
 
 
 def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
                    pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared window minima of a's and of b's points, for window_distances;
-    a and b share a geometry at least 2 WINDOW_COLS + 1 wide. Its scratch
-    is freed on return."""
+    a and b share a geometry at least 2 WINDOW_COLS + 1 wide.
+
+    One dense pass over the window's centre row (the 2 WINDOW_COLS + 1
+    pixels of a point's own row), in bands of rows, serves both
+    directions. A point on another row lies on a ray at least one row
+    pitch dphi away, so at least depth * sin(min(dphi, pi/2)) from the
+    point. A centre-row minimum at or below that distance (less the
+    slack) is therefore the window minimum; only the points of either
+    cloud left above it are searched over the window's other rows, by
+    _gathered_minima. Its scratch is freed on return.
+    """
     g = a.geometry
     h, w = g.height, g.width
-    rr, cc = WINDOW_ROWS, WINDOW_COLS
-    starts_a, starts_b = _row_starts(a), _row_starts(b)
-    # squared window minima of b's pixels, padded like b's bands; the
+    cc = WINDOW_COLS
+    occ_a, occ_b = a.occupied, b.occupied
+    starts_a, starts_b = _row_starts(occ_a), _row_starts(occ_b)
+    # squared centre-row minima of b's pixels, padded like b's bands; the
     # padding columns are folded back across the seam below
-    min_b = np.full((h + 2 * rr, w + 2 * cc), np.inf)
+    min_b = np.full((h, w + 2 * cc), np.inf)
     min_a = np.empty(starts_a[-1])
     for r0 in range(0, h, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, h)
-        band_a = _coordinate_band(a, pa, starts_a, r0, r1, 0)
-        band_b = _coordinate_band(b, pb, starts_b, r0 - rr, r1 + rr, cc)
+        band_a = _coordinate_band(occ_a, pa, starts_a, r0, r1, 0)
+        band_b = _coordinate_band(occ_b, pb, starts_b, r0, r1, cc)
         band_min_a = np.full(band_a.shape[1:], np.inf)
         diff = np.empty(band_a.shape)
         d2 = np.empty(band_min_a.shape)
-        for dv in range(2 * rr + 1):
-            for du in range(2 * cc + 1):
-                np.subtract(band_a, band_b[:, dv:dv + r1 - r0, du:du + w], out=diff)
-                np.multiply(diff, diff, out=diff)
-                np.add(diff[0], diff[1], out=d2)
-                np.add(d2, diff[2], out=d2)
-                np.fmin(band_min_a, d2, out=band_min_a)  # fmin: NaN (EMPTY) loses
-                band_min_b = min_b[r0 + dv:r1 + dv, du:du + w]
-                np.fmin(band_min_b, d2, out=band_min_b)
-        min_a[starts_a[r0]:starts_a[r1]] = band_min_a[a.occupied[r0:r1]]
-    core_b = min_b[rr:rr + h, cc:cc + w]
-    np.fmin(core_b[:, w - cc:], min_b[rr:rr + h, :cc], out=core_b[:, w - cc:])
-    np.fmin(core_b[:, :cc], min_b[rr:rr + h, w + cc:], out=core_b[:, :cc])
-    return min_a, core_b[b.occupied]
+        for du in range(2 * cc + 1):
+            np.subtract(band_a, band_b[:, :, du:du + w], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(diff[0], diff[1], out=d2)
+            np.add(d2, diff[2], out=d2)
+            np.fmin(band_min_a, d2, out=band_min_a)  # fmin: NaN (EMPTY) loses
+            band_min_b = min_b[r0:r1, du:du + w]
+            np.fmin(band_min_b, d2, out=band_min_b)
+        min_a[starts_a[r0]:starts_a[r1]] = band_min_a[occ_a[r0:r1]]
+    core_b = min_b[:, cc:cc + w]
+    np.fmin(core_b[:, w - cc:], min_b[:, :cc], out=core_b[:, w - cc:])
+    np.fmin(core_b[:, :cc], min_b[:, w + cc:], out=core_b[:, :cc])
+    min_b = core_b[occ_b]
+    settle = math.sin(min(math.radians(g.pitch_span) / h, math.pi / 2)) * (1.0 - _CERT_SLACK)
+    dv = np.r_[-WINDOW_ROWS:0, 1:WINDOW_ROWS + 1]
+    du = np.arange(-cc, cc + 1)
+    for ri, occ, p, minima, occ_other, po in ((a, occ_a, pa, min_a, occ_b, pb),
+                                              (b, occ_b, pb, min_b, occ_a, pa)):
+        bound = ri.depth[occ] * settle
+        left = np.flatnonzero(minima > bound * bound)
+        if left.size and len(po):
+            v, u = np.divmod(np.flatnonzero(occ)[left], w)
+            outer = _gathered_minima(_index_grid(occ_other), w, po, p[left], v, u, dv, du)
+            minima[left] = np.minimum(minima[left], outer)
+    return min_a, min_b
 
 
 def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray,
@@ -246,11 +310,7 @@ def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
     if left.size == 0:
         return
     v, u = np.divmod(np.flatnonzero(b.occupied)[left], w)  # the left points' pixels
-    # index of each pixel's point in pa; -1 at EMPTY pixels and in the
-    # extra last row, which stands for every row outside the image
-    index = np.full((h + 1, w), -1, dtype=np.intp)
-    index[:h][a.occupied] = np.arange(len(pa))
-    index = index.ravel()
+    index = _index_grid(a.occupied)
     budget = LADDER_PASSES * h * w
     rr, cc = WINDOW_ROWS, WINDOW_COLS
     while left.size:
@@ -262,23 +322,10 @@ def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
             return
         budget -= left.size * pixels
         radius = window_radius(g, rr, cc) * (1.0 - _CERT_SLACK)
-        chunk = max(1, _BAND_ROWS * w // pixels)
-        for s in range(0, left.size, chunk):
-            part = slice(s, s + chunk)
-            rows = v[part, None] + dv
-            rows[(rows < 0) | (rows >= h)] = h
-            cols = (u[part, None] + du) % w
-            near = index.take(rows[:, :, None] * w + cols[:, None, :])
-            diff = pa.take(near, axis=0)
-            diff -= pb[left[part], None, None]
-            np.square(diff, out=diff)
-            d2 = diff[..., 0] + diff[..., 1]
-            d2 += diff[..., 2]
-            d2[near < 0] = np.inf
-            d = np.sqrt(d2.min(axis=(1, 2)))
-            sure = d < b.depth[v[part], u[part]] * radius
-            d_b[left[part][sure]] = d[sure]
-        keep = np.isnan(d_b[left])
+        d = np.sqrt(_gathered_minima(index, w, pa, pb[left], v, u, dv, du))
+        sure = d < b.depth[v, u] * radius
+        d_b[left[sure]] = d[sure]
+        keep = ~sure
         left, v, u = left[keep], v[keep], u[keep]
 
 

@@ -188,8 +188,9 @@ def interp_mask(ri: RangeImage, factor_x: int, factor_y: int = 1) -> np.ndarray:
     """Per-point flags for ri_to_cloud output: True where the pixel was
     created by upscaling (column or row not a multiple of its factor)."""
     check_factors(factor_x, factor_y)
-    rows, cols = np.nonzero(ri.occupied)
-    return (cols % factor_x != 0) | (rows % factor_y != 0)
+    g = ri.geometry
+    created = (np.arange(g.height)[:, None] % factor_y != 0) | (np.arange(g.width) % factor_x != 0)
+    return created[ri.occupied]
 
 
 def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:

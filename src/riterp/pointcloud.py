@@ -45,8 +45,10 @@ class PointCloud:
         return self.points.shape[0]
 
     def ranges(self) -> np.ndarray:
-        """Euclidean distance of every point from the sensor origin."""
-        return np.linalg.norm(self.points, axis=1)
+        """Euclidean distance of every point from the sensor origin,
+        sqrt((x^2 + y^2) + z^2): bit for bit np.linalg.norm(points, axis=1)."""
+        x, y, z = self.points.T
+        return np.sqrt((x * x + y * y) + z * z)
 
 
 def _read_cloud(path: str | Path, points: np.ndarray, intensity: np.ndarray | None = None) -> PointCloud:
@@ -125,9 +127,10 @@ _PLY_TYPES = {
 
 
 def read_ply(path: str | Path) -> PointCloud:
-    """Read vertex x/y/z from a binary_little_endian PLY (extra scalar
-    vertex properties are skipped). A file this cannot read raises a
-    ValueError that names it."""
+    """Read vertex x/y/z from a binary_little_endian PLY whose first
+    element is vertex (extra scalar vertex properties and later elements
+    are skipped). A file this cannot read raises a ValueError that names
+    it."""
     with open(path, "rb") as fh:
         try:
             names, formats, count = _ply_header(fh)
@@ -172,6 +175,8 @@ def _ply_header(fh) -> tuple[list[str], list[str], int]:
             in_vertex = tokens[1] == "vertex"
             if in_vertex:
                 count = int(tokens[2])
+            elif count is None:  # its records would precede the vertices in the body
+                raise ValueError(f"element {tokens[1]!r} before element vertex unsupported")
         elif tokens[0] == "property" and in_vertex:
             if tokens[1] == "list":
                 raise ValueError("list vertex properties unsupported")
@@ -194,5 +199,5 @@ def filter_by_range(cloud: PointCloud, min_r: float, max_r: float) -> PointCloud
         raise ValueError(f"require 0 <= min_r < max_r, got [{min_r}, {max_r}]")
     r = cloud.ranges()
     keep = np.flatnonzero((r >= min_r) & (r <= max_r))
-    intensity = cloud.intensity[keep] if cloud.intensity is not None else None
-    return PointCloud(points=cloud.points[keep], intensity=intensity)
+    intensity = cloud.intensity.take(keep) if cloud.intensity is not None else None
+    return PointCloud(points=cloud.points.take(keep, axis=0), intensity=intensity)

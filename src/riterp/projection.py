@@ -110,13 +110,13 @@ def cloud_to_ri(cloud: PointCloud, geom: RiGeometry) -> RangeImage:
     if len(cloud) == 0:
         return RangeImage(geom, np.full((geom.height, geom.width), EMPTY))
 
-    r = np.linalg.norm(p, axis=1)
+    r = cloud.ranges()
     # float32 rounding before the depth gate keeps stored values and the
     # gate consistent for clouds reconstructed from an RI
     depth = r.astype(np.float32).astype(np.float64)
     safe_r = np.where(r > 0, r, 1.0)
     pitch_deg = np.degrees(np.arcsin(np.clip(p[:, 2] / safe_r, -1.0, 1.0)))
-    keep = (
+    keep = np.flatnonzero(
         (r > 0)
         & (depth >= geom.min_depth)
         & (depth <= geom.max_depth)
@@ -124,14 +124,16 @@ def cloud_to_ri(cloud: PointCloud, geom: RiGeometry) -> RangeImage:
         & (pitch_deg <= geom.pitch_max)
     )
 
-    yaw = np.arctan2(p[keep, 1], p[keep, 0])
+    yaw = np.arctan2(p[:, 1].take(keep), p[:, 0].take(keep))
     u = np.floor(0.5 * (1.0 - yaw / np.pi) * geom.width).astype(np.int64)
     np.clip(u, 0, geom.width - 1, out=u)
-    v = np.floor((1.0 - (pitch_deg[keep] - geom.pitch_min) / geom.pitch_span) * geom.height).astype(np.int64)
+    v = np.floor((1.0 - (pitch_deg.take(keep) - geom.pitch_min) / geom.pitch_span)
+                 * geom.height).astype(np.int64)
     np.clip(v, 0, geom.height - 1, out=v)
 
     grid = np.full((geom.height, geom.width), np.inf)
-    np.minimum.at(grid, (v, u), depth[keep])
+    # flat indices take numpy's fast path for ufunc.at
+    np.minimum.at(grid.ravel(), v * geom.width + u, depth.take(keep))
     grid[np.isinf(grid)] = EMPTY
     return RangeImage(geom, grid)
 
@@ -149,8 +151,9 @@ def ri_to_cloud(ri: RangeImage) -> PointCloud:
     Output order is row-major over the grid; np.nonzero(ri.occupied)
     gives the matching (row, column) indices.
     """
-    v, u = np.nonzero(ri.occupied)
-    r = ri.depth[v, u]
+    occupied = ri.occupied
+    v, u = np.nonzero(occupied)
+    r = ri.depth[occupied]
     cos_pitch, sin_pitch, cos_yaw, sin_yaw = ri.geometry.rays
     r_cos_pitch = r * cos_pitch[v]
     points = np.empty((r.size, 3))

@@ -94,6 +94,37 @@ def brute_nn_dists(queries: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return out
 
 
+def brute_window_minima(occupied_a: np.ndarray, pa: np.ndarray, occupied_b: np.ndarray,
+                        pb: np.ndarray, rows: int = 1, cols: int = 3) -> list[float]:
+    """Squared distance from each of a's points to the nearest of b's points
+    in the (2 rows + 1) x (2 cols + 1) pixels around its own pixel (rows
+    outside the image skipped, columns wrapped at the seam), computed as
+    (dx^2 + dy^2) + dz^2; inf where there is none. The points of each
+    image are listed in row-major pixel order, as ri_to_cloud emits them.
+    Every point visits every pixel of its window."""
+    h, w = occupied_a.shape
+    pixels_a = [(v, u) for v in range(h) for u in range(w) if occupied_a[v, u]]
+    index_b = {}
+    for v in range(h):
+        for u in range(w):
+            if occupied_b[v, u]:
+                index_b[(v, u)] = len(index_b)
+    columns = {(du % w) for du in range(-cols, cols + 1)}  # each column once
+    points_b = pb.tolist()
+    out = []
+    for (v, u), (x, y, z) in zip(pixels_a, pa.tolist()):
+        best = math.inf
+        for vv in range(max(v - rows, 0), min(v + rows + 1, h)):
+            for du in columns:
+                j = index_b.get((vv, (u + du) % w))
+                if j is not None:
+                    qx, qy, qz = points_b[j]
+                    dx, dy, dz = x - qx, y - qy, z - qz
+                    best = min(best, dx * dx + dy * dy + dz * dz)
+        out.append(best)
+    return out
+
+
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (brute_nn_dists(a, b).mean() + brute_nn_dists(b, a).mean())
 

@@ -2,8 +2,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riterp import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
 from riterp.pointcloud import write_kitti_bin
@@ -28,6 +29,18 @@ class TestPointCloud:
     def test_empty_cloud(self):
         cloud = PointCloud(points=np.zeros((0, 3)))
         assert len(cloud) == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(points=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(points=np.array([[1e200, 1e200, 1e200], [5e-324, 1e-160, -3e-170],
+                              [-1e154, 2e-300, 1e154], [0.0, -0.0, 0.0]]))
+    def test_ranges_equal_linalg_norm(self, points):
+        """ranges() is np.linalg.norm(axis=1) bit for bit, overflow to inf
+        and underflow to 0 included."""
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(PointCloud(points=points).ranges(),
+                                  np.linalg.norm(points, axis=1))
 
 
 class TestReadKittiBin:
@@ -161,6 +174,28 @@ class TestWritePly:
         with pytest.raises(ValueError, match="duplicate.*'x'") as err:
             read_ply(path)
         assert str(path) in str(err.value)
+
+    def test_read_ply_element_before_vertex_names_the_file(self, tmp_path):
+        # the vertex records do not start at the body's first byte, so
+        # reading them from there would shift every coordinate
+        path = tmp_path / "camera.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement camera 1\nproperty float a\n"
+                  "element vertex 2\nproperty float x\nproperty float y\nproperty float z\n"
+                  "end_header\n")
+        path.write_bytes(header.encode("ascii") + struct.pack("<7f", 99, 1, 2, 3, 4, 5, 6))
+        with pytest.raises(ValueError, match="'camera'.*before.*vertex") as err:
+            read_ply(path)
+        assert str(path) in str(err.value)
+        assert len(str(err.value).splitlines()) == 1
+
+    def test_read_ply_element_after_vertex_is_ignored(self, tmp_path):
+        path = tmp_path / "faces.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\nproperty float x\n"
+                  "property float y\nproperty float z\nelement face 1\n"
+                  "property list uchar int vertex_indices\nend_header\n")
+        path.write_bytes(header.encode("ascii") + struct.pack("<6f", 1, 2, 3, 4, 5, 6)
+                         + struct.pack("<B3i", 3, 0, 1, 0))
+        assert np.array_equal(read_ply(path).points, [[1, 2, 3], [4, 5, 6]])
 
     def test_read_ply_header_cut_names_the_file(self, tmp_path):
         path = tmp_path / "cut.ply"
@@ -300,3 +335,36 @@ class TestReaderProperties:
         with pytest.raises(ValueError, match="NaN or Inf") as err:
             read_kitti_bin(path)
         assert str(path) in str(err.value)
+
+    @PROPERTY
+    @given(cloud=CLOUDS, kind=st.sampled_from(["bin", "ply", "ply-color"]), data=st.data())
+    def test_damaged_writer_output_reads_back_or_names_the_file(self, tmp_path_factory, cloud,
+                                                                 kind, data):
+        """A writer's output cut at any byte (byte 0: an empty file), or
+        with one float32 value set to NaN or +-Inf, reads back as the whole
+        records it still holds or raises a one-line ValueError that names
+        the file; never any other exception."""
+        path = tmp_path_factory.mktemp(kind) / f"scan.{kind[:3]}"
+        if kind == "bin":
+            write_kitti_bin(cloud, path)
+            body, stride, floats = 0, 16, 4
+        else:
+            color = np.full((len(cloud), 3), 7, dtype=np.uint8) if kind == "ply-color" else None
+            write_ply(cloud, path, color)
+            body, stride, floats = path.read_bytes().index(b"end_header\n") + 11, 12, 3
+            stride += 3 if color is not None else 0
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="cut"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = (body + stride * data.draw(st.integers(0, len(cloud) - 1), label="record")
+                  + 4 * data.draw(st.integers(0, floats - 1), label="value"))
+            struct.pack_into("<f", raw, at, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+        path.write_bytes(bytes(raw))
+        try:
+            got = read_kitti_bin(path) if kind == "bin" else read_ply(path)
+        except ValueError as err:
+            assert str(path) in str(err) and "\n" not in str(err)
+            return
+        held = (len(raw) - body) // stride
+        assert np.array_equal(got.points, cloud.points.astype(np.float32)[:held])

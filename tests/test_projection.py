@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riterp import (
     EMPTY,
+    KITTI_GEOMETRY,
     KdTree,
     PointCloud,
     RangeImage,
@@ -90,13 +91,29 @@ class TestCloudToRi:
         ri = cloud_to_ri(cloud, GEOM_1024)
         assert not ri.occupied.any()
 
-    def test_small_grid_matches_per_point_binning(self, small_geometry):
-        # independent per-point loop over the stated formulas
+    @pytest.mark.parametrize("crowded", [False, True], ids=["small", "kitti_crowded"])
+    def test_small_grid_matches_per_point_binning(self, small_geometry, crowded):
+        # independent per-point loop over the stated formulas; "crowded"
+        # puts 2-40 points in each of 300 pixels at the KITTI geometry, some
+        # outside the depth clamp, where the nearest in-clamp depth must win
         rng = np.random.default_rng(42)
-        pts = rng.uniform(-30, 30, size=(300, 3))
-        ri = cloud_to_ri(PointCloud(points=pts), small_geometry)
+        if crowded:
+            g = KITTI_GEOMETRY
+            per_pixel = rng.integers(2, 41, 300)
+            n = int(per_pixel.sum())
+            # fractional rows and columns well inside each pixel
+            v = rng.integers(0, g.height, 300).repeat(per_pixel) + rng.uniform(0.01, 0.99, n)
+            u = rng.integers(0, g.width, 300).repeat(per_pixel) + rng.uniform(0.01, 0.99, n)
+            yaw = np.pi * (1.0 - 2.0 * u / g.width)
+            pitch = np.radians(g.pitch_max - v / g.height * g.pitch_span)
+            r = rng.uniform(1.0, 130.0, n)
+            pts = np.stack([r * np.cos(pitch) * np.cos(yaw), r * np.cos(pitch) * np.sin(yaw),
+                            r * np.sin(pitch)], axis=1)
+        else:
+            g = small_geometry
+            pts = rng.uniform(-30, 30, size=(300, 3))
+        ri = cloud_to_ri(PointCloud(points=pts), g)
 
-        g = small_geometry
         expected = {}
         for x, y, z in pts:
             r = math.sqrt(x * x + y * y + z * z)
@@ -111,6 +128,8 @@ class TestCloudToRi:
         for (v, u), d in expected.items():
             grid[v, u] = d
         assert np.array_equal(ri.depth, grid)
+        if crowded:  # thousands of points, at most 300 pixels
+            assert np.count_nonzero(grid) <= 300
 
 
 class TestRiToCloud:

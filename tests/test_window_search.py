@@ -30,6 +30,7 @@ from riterp.metrics import (WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, wide
 from riterp.projection import pixel_center_angles
 
 from conftest import count_test_trees
+from oracles import brute_window_minima
 
 WIDTHS = (7, 8, 16, 2048)
 KINDS = ("independent", "jittered", "quantized", "bilinear", "seam", "sparse", "hole")
@@ -265,3 +266,18 @@ def test_radius_is_the_row_bound_when_columns_are_all_in_the_window():
 def test_radius_certifies_nothing_past_the_pole():
     # a vertical FOV reaching past +-90 deg leaves no column bound
     assert window_radius(geometry(16, 4, -10.0, 95.0), WINDOW_ROWS, WINDOW_COLS) < 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(geom=geometries(), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_window_minima_equal_brute_force(kind, geom, seed):
+    """Both directions' squared 3 x 7 window minima, which decide every
+    certificate and so nn_fallback_points, equal a dense per-point scan
+    of all 21 pixels, bit for bit (the centre row's settle gate skips no
+    point that another row would lower)."""
+    test, ref = make_pair(seed, kind, geom)
+    pa, pb = ri_to_cloud(test).points, ri_to_cloud(ref).points
+    min_a, min_b = metrics._window_minima(test, ref, pa, pb)
+    assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb)
+    assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa)
