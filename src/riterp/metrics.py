@@ -167,24 +167,24 @@ def _row_starts(occupied: np.ndarray) -> np.ndarray:
 
 
 def _index_grid(occupied: np.ndarray) -> np.ndarray:
-    """Flat (H + 1) x W grid of each pixel's index in ri_to_cloud's output
-    for an image with this mask; -1 at EMPTY pixels and in the extra last
-    row, which stands for every row outside the image."""
+    """(H + 1) x W grid of each pixel's index in ri_to_cloud's output for
+    an image with this mask; -1 at EMPTY pixels and in the extra last row,
+    which stands for every row outside the image."""
     h, w = occupied.shape
     index = np.full((h + 1, w), -1, dtype=np.intp)
     index[:h][occupied] = np.arange(np.count_nonzero(occupied))
-    return index.ravel()
+    return index
 
 
-def _gathered_minima(index: np.ndarray, w: int, pa: np.ndarray, q: np.ndarray, v: np.ndarray,
+def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.ndarray,
                      u: np.ndarray, dv: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Squared distance from each point q[i], at pixel (v[i], u[i]), to the
     nearest of pa's points at the pixels (v[i] + dv, u[i] + du), or inf if
-    there is none. `index` is the _index_grid of pa's image, w its width;
-    rows outside the image are skipped and columns wrap at the seam. The
-    points are gathered in chunks of at most as many pixels as a band of
-    the window pass."""
-    h = index.size // w - 1
+    there is none. `index` is the _index_grid of pa's image; rows outside
+    the image are skipped and columns wrap at the seam. The points are
+    gathered in chunks of at most as many pixels as a band of the window
+    pass."""
+    h, w = index.shape[0] - 1, index.shape[1]
     chunk = max(1, _BAND_ROWS * w // (dv.size * du.size))
     out = np.empty(len(q))
     for s in range(0, len(q), chunk):
@@ -192,7 +192,7 @@ def _gathered_minima(index: np.ndarray, w: int, pa: np.ndarray, q: np.ndarray, v
         rows = v[part, None] + dv
         rows[(rows < 0) | (rows >= h)] = h
         cols = (u[part, None] + du) % w
-        near = index.take(rows[:, :, None] * w + cols[:, None, :])
+        near = index.take(rows[:, :, None] * w + cols[:, None, :])  # flat indices
         diff = pa.take(near, axis=0)
         diff -= q[part, None, None]
         np.square(diff, out=diff)
@@ -208,14 +208,13 @@ def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
     """Squared window minima of a's and of b's points, for window_distances;
     a and b share a geometry at least 2 WINDOW_COLS + 1 wide.
 
-    One dense pass over the window's centre row (the 2 WINDOW_COLS + 1
-    pixels of a point's own row), in bands of rows, serves both
-    directions. A point on another row lies on a ray at least one row
-    pitch dphi away, so at least depth * sin(min(dphi, pi/2)) from the
-    point. A centre-row minimum at or below that distance (less the
-    slack) is therefore the window minimum; only the points of either
-    cloud left above it are searched over the window's other rows, by
-    _gathered_minima. Its scratch is freed on return.
+    One dense pass over the window's centre row (a point's own row), in
+    bands of rows, serves both directions. A point on another row lies on
+    a ray at least one row pitch dphi away, so at least depth *
+    sin(min(dphi, pi/2)) from the point: only the points of either cloud
+    whose centre-row minimum is above that (less the slack) are searched
+    over the window's other rows, by _gathered_minima. Its scratch is
+    freed on return.
     """
     g = a.geometry
     h, w = g.height, g.width
@@ -255,7 +254,7 @@ def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
         left = np.flatnonzero(minima > bound * bound)
         if left.size and len(po):
             v, u = np.divmod(np.flatnonzero(occ)[left], w)
-            outer = _gathered_minima(_index_grid(occ_other), w, po, p[left], v, u, dv, du)
+            outer = _gathered_minima(_index_grid(occ_other), po, p[left], v, u, dv, du)
             minima[left] = np.minimum(minima[left], outer)
     return min_a, min_b
 
@@ -298,9 +297,9 @@ def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
     one geometry. Rung k searches half-extents (2^k, 2^(k+2) - 1): 5 x 15,
     9 x 31, 17 x 63 pixels and so on (rows clipped at the image border,
     columns wrapped at the seam), and certifies a minimum below depth *
-    window_radius(geom, rows, cols), less the slack. The points of a are
-    gathered through an H x W index grid, in chunks of at most as many
-    pixels as a band of the window pass. Before a rung whose windows would
+    window_radius(geom, rows, cols), less the slack; _gathered_minima
+    gathers the points of a, as it does for the 3 x 7 window's outer
+    rows. Before a rung whose windows would
     take the pixels visited past LADDER_PASSES passes over the image, the
     ladder gives up and leaves the remaining entries NaN.
     """
@@ -322,7 +321,7 @@ def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
             return
         budget -= left.size * pixels
         radius = window_radius(g, rr, cc) * (1.0 - _CERT_SLACK)
-        d = np.sqrt(_gathered_minima(index, w, pa, pb[left], v, u, dv, du))
+        d = np.sqrt(_gathered_minima(index, pa, pb[left], v, u, dv, du))
         sure = d < b.depth[v, u] * radius
         d_b[left[sure]] = d[sure]
         keep = ~sure
