@@ -82,17 +82,15 @@ class KdTree:
     """Immutable exact nearest-neighbor index over a point cloud.
 
     Backed by scipy's cKDTree with sliding-midpoint splits (Maneewongvatana
-    & Mount 1999) and leaves of up to 32 points (scipy's default is 16),
-    which build faster than median splits and finer leaves and answer the
-    same exact queries; distances match a brute-force scan exactly (same
-    float64 arithmetic).
+    & Mount 1999), which build faster than median splits and answer the
+    same exact queries, and scipy's default leaves of up to 16 points;
+    distances match a brute-force scan exactly (same float64 arithmetic).
     """
 
     def __init__(self, cloud: PointCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
-        self._tree = cKDTree(cloud.points, leafsize=32, balanced_tree=False,
-                              compact_nodes=False)
+        self._tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
 
     def query(self, points: np.ndarray | PointCloud) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-neighbor (distances, indices) for each query point."""
@@ -203,10 +201,11 @@ def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.nda
     return out
 
 
-def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
-                   pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray, pb: np.ndarray,
+                   index_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared window minima of a's and of b's points, for window_distances;
-    a and b share a geometry at least 2 WINDOW_COLS + 1 wide.
+    a and b share a geometry at least 2 WINDOW_COLS + 1 wide, and index_a
+    is a's _index_grid.
 
     One dense pass over the window's centre row (a point's own row), in
     bands of rows, serves both directions. A point on another row lies on
@@ -248,29 +247,34 @@ def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
     settle = math.sin(min(math.radians(g.pitch_span) / h, math.pi / 2)) * (1.0 - _CERT_SLACK)
     dv = np.r_[-WINDOW_ROWS:0, 1:WINDOW_ROWS + 1]
     du = np.arange(-cc, cc + 1)
-    for ri, occ, p, minima, occ_other, po in ((a, occ_a, pa, min_a, occ_b, pb),
-                                              (b, occ_b, pb, min_b, occ_a, pa)):
+    for ri, occ, p, minima, po, index in ((a, occ_a, pa, min_a, pb, None),
+                                          (b, occ_b, pb, min_b, pa, index_a)):
         bound = ri.depth[occ] * settle
         left = np.flatnonzero(minima > bound * bound)
         if left.size and len(po):
+            if index is None:
+                index = _index_grid(occ_b)
             v, u = np.divmod(np.flatnonzero(occ)[left], w)
-            outer = _gathered_minima(_index_grid(occ_other), po, p[left], v, u, dv, du)
+            outer = _gathered_minima(index, po, p[left], v, u, dv, du)
             minima[left] = np.minimum(minima[left], outer)
     return min_a, min_b
 
 
-def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray,
-                     pb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray, pb: np.ndarray,
+                     index_a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Nearest-neighbour distances that the range-image window certifies.
 
     pa and pb are ri_to_cloud(a).points and ri_to_cloud(b).points. For
     each point, the window minimum is the least distance to the other
     cloud's points in the 3 x 7 pixels around its own pixel (columns wrap
     at the +-pi seam, rows do not), computed as (dx^2 + dy^2) + dz^2 in
-    float64 like cKDTree. One pass over the 21 offsets, in bands of rows,
-    serves both directions, since d(p, q) = d(q, p). A minimum below the
-    point's depth times window_radius (less a 1e-9 slack for rounding) is
-    exact.
+    float64 like cKDTree. A dense pass over the window's centre row, in
+    bands of rows, serves both directions, since d(p, q) = d(q, p); the
+    rows above and below are searched only for the points whose
+    centre-row minimum is above depth * sin(min(dphi, pi/2)), dphi the row
+    pitch. A minimum below the point's depth times window_radius (less a
+    1e-9 slack for rounding) is exact. `index_a`, a's _index_grid, is
+    built here if not given.
 
     Returns (d_a, d_b), per point of each cloud: the exact distance where
     certified, NaN elsewhere. None when the geometries differ or the image
@@ -279,7 +283,9 @@ def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray,
     g = a.geometry
     if g != b.geometry or g.width < 2 * WINDOW_COLS + 1:
         return None
-    d_a, d_b = _window_minima(a, b, pa, pb)
+    if index_a is None:
+        index_a = _index_grid(a.occupied)
+    d_a, d_b = _window_minima(a, b, pa, pb, index_a)
     radius = window_radius(g, WINDOW_ROWS, WINDOW_COLS) * (1.0 - _CERT_SLACK)
     for ri, d in ((a, d_a), (b, d_b)):
         np.sqrt(d, out=d)
@@ -288,7 +294,7 @@ def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray,
 
 
 def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
-                 d_b: np.ndarray) -> None:
+                 d_b: np.ndarray, index_a: np.ndarray | None = None) -> None:
     """Fill in d_b's NaN entries, the distances from b's points to a's that
     window_distances left uncertified, by the same exact search over
     widening windows.
@@ -299,9 +305,10 @@ def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
     columns wrapped at the seam), and certifies a minimum below depth *
     window_radius(geom, rows, cols), less the slack; _gathered_minima
     gathers the points of a, as it does for the 3 x 7 window's outer
-    rows. Before a rung whose windows would
-    take the pixels visited past LADDER_PASSES passes over the image, the
-    ladder gives up and leaves the remaining entries NaN.
+    rows. Before a rung whose windows would take the pixels visited past
+    LADDER_PASSES passes over the image, the ladder gives up and leaves the
+    remaining entries NaN. `index_a`, a's _index_grid, is built here if not
+    given.
     """
     g = a.geometry
     h, w = g.height, g.width
@@ -309,7 +316,7 @@ def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
     if left.size == 0:
         return
     v, u = np.divmod(np.flatnonzero(b.occupied)[left], w)  # the left points' pixels
-    index = _index_grid(a.occupied)
+    index = _index_grid(a.occupied) if index_a is None else index_a
     budget = LADDER_PASSES * h * w
     rr, cc = WINDOW_ROWS, WINDOW_COLS
     while left.size:
@@ -348,12 +355,15 @@ def nn_distances(
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
-    found = window_distances(*ris, a.points, b.points) if ris is not None else None
+    found = index_a = None
+    if ris is not None:
+        index_a = _index_grid(ris[0].occupied)  # shared by both window searches
+        found = window_distances(*ris, a.points, b.points, index_a)
     d_ab, d_ba = found or (np.full(len(a), np.nan), np.full(len(b), np.nan))
     ask_a, ask_b = np.isnan(d_ab), np.isnan(d_ba)
     n_fallback = int(np.count_nonzero(ask_a) + np.count_nonzero(ask_b))
     if found is not None:
-        widen_window(ris[0], a.points, ris[1], b.points, d_ba)
+        widen_window(ris[0], a.points, ris[1], b.points, d_ba, index_a)
         ask_b = np.isnan(d_ba)
     if tree_b is None:
         tree_b = KdTree(b)

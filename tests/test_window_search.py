@@ -278,6 +278,7 @@ def test_window_minima_equal_brute_force(kind, geom, seed):
     point that another row would lower)."""
     test, ref = make_pair(seed, kind, geom)
     pa, pb = ri_to_cloud(test).points, ri_to_cloud(ref).points
-    min_a, min_b = metrics._window_minima(test, ref, pa, pb)
+    min_a, min_b = metrics._window_minima(test, ref, pa, pb,
+                                          metrics._index_grid(test.occupied))
     assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb)
     assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa)
