@@ -2,18 +2,15 @@
 classification, and chamfer distance between clouds.
 
 Nearest neighbours are exact and use the range image as their index when
-both clouds come from RIs of one geometry: each point is compared with
-the other cloud's points in the 3 x 7 pixels around its own pixel
-(columns wrap at the +-pi seam). The window's centre row is searched
-densely, the rows above and below only for the points whose centre-row
-minimum is above depth * sin(min(dphi, pi/2)) (dphi the row pitch): no
-point on another row is nearer than that. Every point outside the window
-lies on a ray at least theta = min(2 dphi, 2 asin(cos phi_max sin(2 dpsi)))
-away, so a window minimum below depth * sin(min(theta, pi/2)) is the
-exact answer. Reference points left uncertified are searched again over
-widening windows (5 x 15, 9 x 31, ...) with the same certificate.
-KdTree (scipy's cKDTree) resolves the points still without one, and
-every point when the geometries differ.
+both clouds come from RIs of one geometry: each point climbs one ladder
+of windows around its own pixel (columns wrap at the +-pi seam). Rung 0,
+the point's own row 7 columns wide, is searched densely for both clouds
+at once; rung 1 adds the rows above and below (3 x 7); rungs 2, 3, ...
+widen the window (5 x 15, 9 x 31, ...) for the reference cloud only. A
+rung's minimum is exact when it is below the point's depth times
+window_radius, the sine of the least angle to any ray outside the
+window. KdTree (scipy's cKDTree) resolves the points still without an
+answer, and every point when the geometries differ.
 """
 from __future__ import annotations
 
@@ -104,12 +101,13 @@ class KdTree:
 #: searches around each pixel: 3 rows x 7 columns
 WINDOW_ROWS = 1
 WINDOW_COLS = 3
-#: widen_window gives up, leaving its points to a k-d tree over the other
-#: cloud, before its windows would visit more pixels in all than this many
-#: passes over the image: about the cost of building that tree
+#: the reference cloud's ladder gives up, leaving its points to a k-d tree
+#: over the test cloud, before its widening windows would visit more pixels
+#: in all than this many passes over the image: about the cost of building
+#: that tree
 LADDER_PASSES = 4
-#: rows per band of the window pass, which bounds its scratch arrays (and
-#: the ladder's chunks, to as many pixels)
+#: rows per band of the centre-row pass, which bounds its scratch arrays
+#: (and the ladder's chunks, to as many pixels)
 _BAND_ROWS = 8
 #: relative slack on the certificate that absorbs rounding in the points
 #: and in the distances
@@ -180,8 +178,8 @@ def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.nda
     nearest of pa's points at the pixels (v[i] + dv, u[i] + du), or inf if
     there is none. `index` is the _index_grid of pa's image; rows outside
     the image are skipped and columns wrap at the seam. The points are
-    gathered in chunks of at most as many pixels as a band of the window
-    pass."""
+    gathered in chunks of at most as many pixels as a band of the
+    centre-row pass."""
     h, w = index.shape[0] - 1, index.shape[1]
     chunk = max(1, _BAND_ROWS * w // (dv.size * du.size))
     out = np.empty(len(q))
@@ -201,19 +199,17 @@ def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.nda
     return out
 
 
-def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray, pb: np.ndarray,
-                   index_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared window minima of a's and of b's points, for window_distances;
-    a and b share a geometry at least 2 WINDOW_COLS + 1 wide, and index_a
-    is a's _index_grid.
+def _centre_row_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
+                       pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared minima, per point of a and of b, over the other cloud's
+    points in the centre row of the window: the point's own row, columns
+    within WINDOW_COLS (wrapped at the +-pi seam). a and b share a
+    geometry at least 2 WINDOW_COLS + 1 wide; pa and pb are their
+    ri_to_cloud points.
 
-    One dense pass over the window's centre row (a point's own row), in
-    bands of rows, serves both directions. A point on another row lies on
-    a ray at least one row pitch dphi away, so at least depth *
-    sin(min(dphi, pi/2)) from the point: only the points of either cloud
-    whose centre-row minimum is above that (less the slack) are searched
-    over the window's other rows, by _gathered_minima. Its scratch is
-    freed on return.
+    One dense pass, in bands of rows, serves both directions, since
+    d(p, q) = d(q, p); distances are (dx^2 + dy^2) + dz^2 in float64, like
+    cKDTree's. Its scratch is freed on return.
     """
     g = a.geometry
     h, w = g.height, g.width
@@ -243,96 +239,53 @@ def _window_minima(a: RangeImage, b: RangeImage, pa: np.ndarray, pb: np.ndarray,
     core_b = min_b[:, cc:cc + w]
     np.fmin(core_b[:, w - cc:], min_b[:, :cc], out=core_b[:, w - cc:])
     np.fmin(core_b[:, :cc], min_b[:, w + cc:], out=core_b[:, :cc])
-    min_b = core_b[occ_b]
-    settle = math.sin(min(math.radians(g.pitch_span) / h, math.pi / 2)) * (1.0 - _CERT_SLACK)
-    dv = np.r_[-WINDOW_ROWS:0, 1:WINDOW_ROWS + 1]
-    du = np.arange(-cc, cc + 1)
-    for ri, occ, p, minima, po, index in ((a, occ_a, pa, min_a, pb, None),
-                                          (b, occ_b, pb, min_b, pa, index_a)):
-        bound = ri.depth[occ] * settle
-        left = np.flatnonzero(minima > bound * bound)
-        if left.size and len(po):
-            if index is None:
-                index = _index_grid(occ_b)
-            v, u = np.divmod(np.flatnonzero(occ)[left], w)
-            outer = _gathered_minima(index, po, p[left], v, u, dv, du)
-            minima[left] = np.minimum(minima[left], outer)
-    return min_a, min_b
+    return min_a, core_b[occ_b]
 
 
-def window_distances(a: RangeImage, b: RangeImage, pa: np.ndarray, pb: np.ndarray,
-                     index_a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Nearest-neighbour distances that the range-image window certifies.
+def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray,
+            other: tuple[RangeImage, np.ndarray], passes: float) -> tuple[np.ndarray, int]:
+    """Distances from ri's points p to the other cloud's points that the
+    window ladder certifies, NaN elsewhere, and how many points rung 1
+    left uncertified.
 
-    pa and pb are ri_to_cloud(a).points and ri_to_cloud(b).points. For
-    each point, the window minimum is the least distance to the other
-    cloud's points in the 3 x 7 pixels around its own pixel (columns wrap
-    at the +-pi seam, rows do not), computed as (dx^2 + dy^2) + dz^2 in
-    float64 like cKDTree. A dense pass over the window's centre row, in
-    bands of rows, serves both directions, since d(p, q) = d(q, p); the
-    rows above and below are searched only for the points whose
-    centre-row minimum is above depth * sin(min(dphi, pi/2)), dphi the row
-    pitch. A minimum below the point's depth times window_radius (less a
-    1e-9 slack for rounding) is exact. `index_a`, a's _index_grid, is
-    built here if not given.
-
-    Returns (d_a, d_b), per point of each cloud: the exact distance where
-    certified, NaN elsewhere. None when the geometries differ or the image
-    is narrower than the window.
+    `minima` are p's squared _centre_row_minima; `other` is the other
+    cloud's (range image, ri_to_cloud points), over ri's geometry. Rung k
+    searches the pixels within (rows, cols) of each point's pixel (rows
+    clipped at the image border, columns wrapped at the seam) for the
+    points the rungs before it left, and certifies a minimum below depth *
+    window_radius(geom, rows, cols), less the slack. Rung 0 is the centre
+    row (0, WINDOW_COLS); rung 1 gathers the 3 x 7 window's other rows;
+    rungs 2, 3, ... gather the widening windows (2, 7), (4, 15), ... whole,
+    and the ladder stops before one that would take the pixels they visit
+    past `passes` passes over the image: with 0, after the 3 x 7 window.
     """
-    g = a.geometry
-    if g != b.geometry or g.width < 2 * WINDOW_COLS + 1:
-        return None
-    if index_a is None:
-        index_a = _index_grid(a.occupied)
-    d_a, d_b = _window_minima(a, b, pa, pb, index_a)
-    radius = window_radius(g, WINDOW_ROWS, WINDOW_COLS) * (1.0 - _CERT_SLACK)
-    for ri, d in ((a, d_a), (b, d_b)):
-        np.sqrt(d, out=d)
-        d[~(d < ri.depth[ri.occupied] * radius)] = np.nan
-    return d_a, d_b
-
-
-def widen_window(a: RangeImage, pa: np.ndarray, b: RangeImage, pb: np.ndarray,
-                 d_b: np.ndarray, index_a: np.ndarray | None = None) -> None:
-    """Fill in d_b's NaN entries, the distances from b's points to a's that
-    window_distances left uncertified, by the same exact search over
-    widening windows.
-
-    pa and pb are ri_to_cloud(a).points and ri_to_cloud(b).points, over
-    one geometry. Rung k searches half-extents (2^k, 2^(k+2) - 1): 5 x 15,
-    9 x 31, 17 x 63 pixels and so on (rows clipped at the image border,
-    columns wrapped at the seam), and certifies a minimum below depth *
-    window_radius(geom, rows, cols), less the slack; _gathered_minima
-    gathers the points of a, as it does for the 3 x 7 window's outer
-    rows. Before a rung whose windows would take the pixels visited past
-    LADDER_PASSES passes over the image, the ladder gives up and leaves the
-    remaining entries NaN. `index_a`, a's _index_grid, is built here if not
-    given.
-    """
-    g = a.geometry
+    g = ri.geometry
     h, w = g.height, g.width
-    left = np.flatnonzero(np.isnan(d_b))
+    depth = ri.depth[ri.occupied]
+    d = np.sqrt(minima)  # rung 0
+    left = np.flatnonzero(~(d < depth * (window_radius(g, 0, WINDOW_COLS) * (1.0 - _CERT_SLACK))))
     if left.size == 0:
-        return
-    v, u = np.divmod(np.flatnonzero(b.occupied)[left], w)  # the left points' pixels
-    index = _index_grid(a.occupied) if index_a is None else index_a
-    budget = LADDER_PASSES * h * w
-    rr, cc = WINDOW_ROWS, WINDOW_COLS
-    while left.size:
-        rr, cc = 2 * rr, 2 * cc + 1
-        dv = np.arange(-min(rr, h - 1), min(rr, h - 1) + 1)
-        du = np.arange(-min(cc, w // 2), min(cc, w // 2) + 1)
-        pixels = dv.size * du.size
-        if left.size * pixels > budget:
-            return
-        budget -= left.size * pixels
-        radius = window_radius(g, rr, cc) * (1.0 - _CERT_SLACK)
-        d = np.sqrt(_gathered_minima(index, pa, pb[left], v, u, dv, du))
-        sure = d < b.depth[v, u] * radius
-        d_b[left[sure]] = d[sure]
-        keep = ~sure
-        left, v, u = left[keep], v[keep], u[keep]
+        return d, 0
+    d[left] = np.nan
+    index, pixel = _index_grid(other[0].occupied), np.flatnonzero(ri.occupied)
+    minima, n_left = minima[left], None
+    rows, cols, budget = WINDOW_ROWS, WINDOW_COLS, passes * h * w
+    dv, du = np.r_[-rows:0, 1:rows + 1], np.arange(-cols, cols + 1)  # rung 1
+    while True:
+        v, u = np.divmod(pixel[left], w)
+        minima = np.minimum(minima, _gathered_minima(index, other[1], p[left], v, u, dv, du))
+        found = np.sqrt(minima)
+        sure = found < depth[left] * (window_radius(g, rows, cols) * (1.0 - _CERT_SLACK))
+        d[left[sure]] = found[sure]
+        left, minima = left[~sure], minima[~sure]
+        if n_left is None:
+            n_left = left.size
+        rows, cols = 2 * rows, 2 * cols + 1
+        dv = np.arange(-min(rows, h - 1), min(rows, h - 1) + 1)
+        du = np.arange(-min(cols, w // 2), min(cols, w // 2) + 1)
+        budget -= left.size * dv.size * du.size
+        if left.size == 0 or budget < 0:
+            return d, n_left
 
 
 def nn_distances(
@@ -346,25 +299,28 @@ def nn_distances(
     the number of those the k-d trees resolved.
 
     `ris`, the range images that a and b were reconstructed from with
-    ri_to_cloud, lets window_distances settle most points and widen_window
-    most of b's rest; the k-d trees resolve the others, and every point
-    when `ris` is None or the window does not apply. `tree_b`, a KdTree
-    already built over b, is used instead of building one and is queried
-    even with no point left; a tree over a is built only if some point of
-    b is left after the ladder.
+    ri_to_cloud, lets the window ladder settle most points when they share
+    a geometry at least 2 WINDOW_COLS + 1 wide: one _centre_row_minima
+    pass serves both clouds, then each cloud climbs its own _ladder, a's
+    up to the 3 x 7 window and b's on through widening windows for up to
+    LADDER_PASSES passes. The k-d trees resolve the points left, and every
+    point when the ladder does not apply. `tree_b`, a KdTree already built
+    over b, is used instead of building one and is queried even with no
+    point left; a tree over a is built only if some point of b is left
+    after the ladder.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
-    found = index_a = None
-    if ris is not None:
-        index_a = _index_grid(ris[0].occupied)  # shared by both window searches
-        found = window_distances(*ris, a.points, b.points, index_a)
-    d_ab, d_ba = found or (np.full(len(a), np.nan), np.full(len(b), np.nan))
+    g = None if ris is None else ris[0].geometry
+    if g is not None and g == ris[1].geometry and g.width >= 2 * WINDOW_COLS + 1:
+        min_a, min_b = _centre_row_minima(*ris, a.points, b.points)
+        d_ab, left_a = _ladder(ris[0], a.points, min_a, (ris[1], b.points), 0)
+        d_ba, left_b = _ladder(ris[1], b.points, min_b, (ris[0], a.points), LADDER_PASSES)
+        n_fallback = left_a + left_b
+    else:
+        d_ab, d_ba = np.full(len(a), np.nan), np.full(len(b), np.nan)
+        n_fallback = len(a) + len(b)
     ask_a, ask_b = np.isnan(d_ab), np.isnan(d_ba)
-    n_fallback = int(np.count_nonzero(ask_a) + np.count_nonzero(ask_b))
-    if found is not None:
-        widen_window(ris[0], a.points, ris[1], b.points, d_ba, index_a)
-        ask_b = np.isnan(d_ba)
     if tree_b is None:
         tree_b = KdTree(b)
     d_ab[ask_a] = tree_b.query(a.points[ask_a])[0]

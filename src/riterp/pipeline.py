@@ -84,7 +84,7 @@ class PipelineConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.report_format not in REPORT_FORMATS:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
-        if self.delta <= 0:
+        if not self.delta > 0:  # NaN too
             raise ValueError(f"delta must be > 0, got {self.delta}")
         # before the geometry, which `riterp interp` sizes by the factors
         check_factors(self.factor_x, self.factor_y)
@@ -158,7 +158,10 @@ class StageError(RuntimeError):
 def load_scan(spec: str) -> PointCloud:
     """Load one input: 'synth:<seed>', a .bin scan, or a .ply cloud."""
     if spec.startswith("synth:"):
-        return synth_scene(int(spec.split(":", 1)[1]))
+        seed = spec.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit()):
+            raise ValueError(f"{spec}: seed must be a non-negative integer")
+        return synth_scene(int(seed))
     path = Path(spec)
     reader = {".bin": read_kitti_bin, ".ply": read_ply}.get(path.suffix.lower())
     if reader is None:

@@ -6,6 +6,7 @@ column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
 """
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -33,6 +34,9 @@ class RiGeometry:
     max_depth: float  # meters
 
     def __post_init__(self):
+        for key in ("pitch_min", "pitch_max", "min_depth", "max_depth"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.width < 2 or self.height < 2:
             raise ValueError(f"width/height must be >= 2, got {self.width}x{self.height}")
         if not self.pitch_min < self.pitch_max:

@@ -2,6 +2,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
@@ -54,3 +55,34 @@ def count_test_trees(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(metrics, "KdTree", Counting)
     return built
+
+
+def ladder_left(ri: RangeImage, exact, passes: float) -> tuple[int, int]:
+    """Points of ri that the 3 x 7 window leaves uncertified, and those the
+    whole window ladder leaves with a budget of `passes` image passes, from
+    their exact nearest distances. A window of half-extents (rows, cols)
+    certifies exactly the points whose distance is below depth *
+    window_radius(geometry, rows, cols), less the 1e-9 slack; each rung
+    from (2, 7) on is charged the points left before it times its pixels,
+    and the ladder stops before a rung the budget cannot pay for. Below
+    the 3 x 7 window's width every point is left."""
+    g = ri.geometry
+    if g.width < 2 * metrics.WINDOW_COLS + 1:
+        return len(exact), len(exact)
+    depth = ri.depth[ri.occupied]
+
+    def left(rows: int, cols: int) -> int:
+        radius = metrics.window_radius(g, rows, cols) * (1.0 - 1e-9)
+        return int(np.count_nonzero(~(exact < depth * radius)))
+
+    rows, cols = metrics.WINDOW_ROWS, metrics.WINDOW_COLS
+    first = n = left(rows, cols)
+    budget = passes * g.height * g.width
+    while n:
+        rows, cols = 2 * rows, 2 * cols + 1
+        charge = n * (2 * min(rows, g.height - 1) + 1) * (2 * min(cols, g.width // 2) + 1)
+        if charge > budget:
+            break
+        budget -= charge
+        n = left(rows, cols)
+    return first, n

@@ -13,7 +13,7 @@ from riterp import (
     ssim,
 )
 from riterp import metrics
-from riterp.metrics import nn_distances, noise_split, window_distances
+from riterp.metrics import nn_distances, noise_split
 
 from conftest import random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
@@ -198,11 +198,14 @@ class TestNnDistances:
         a = random_ri(rng, GEOM_16)
         b = random_ri(rng, GEOM_16)
         b.depth[:8] = a.depth[:8]
-        d_a, d_b = window_distances(a, b, ri_to_cloud(a).points, ri_to_cloud(b).points)
+        ca, cb = ri_to_cloud(a), ri_to_cloud(b)
+        d_a, d_b, fallback, _ = nn_distances(ca, cb, ris=(a, b))
         shared = np.count_nonzero(a.occupied[:8])  # rows 0-7 come first in cloud order
         assert np.all(d_a[:shared] == 0.0) and np.all(d_b[:shared] == 0.0)
-        assert window_distances(a, downsample_ri(b, 2, 1), ri_to_cloud(a).points,
-                                ri_to_cloud(downsample_ri(b, 2, 1)).points) is None
+        assert fallback <= len(ca) + len(cb) - 2 * shared  # no shared point falls back
+        coarse = downsample_ri(b, 2, 1)
+        cc = ri_to_cloud(coarse)
+        assert nn_distances(ca, cc, ris=(a, coarse))[2] == len(ca) + len(cc)
 
     def test_equal_brute_force_with_and_without_range_images(self):
         rng = np.random.default_rng(14)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 from dataclasses import fields, replace
 
@@ -28,7 +29,7 @@ from riterp import (
 )
 from riterp import pipeline
 from riterp.cli import _config_from_args, _config_keys, build_parser, main
-from riterp.metrics import noise_split, window_distances
+from riterp.metrics import noise_split
 from riterp.pipeline import (
     INTERP_COLOR,
     METHODS,
@@ -45,7 +46,7 @@ from riterp.pipeline import (
     upscale_ri,
 )
 
-from conftest import count_test_trees
+from conftest import count_test_trees, ladder_left
 
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
 
@@ -106,6 +107,20 @@ class TestConfigValidation:
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
             PipelineConfig(grad_threshold=-1.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_rejects_delta_not_above_zero(self, delta):
+        # a NaN delta would count no point as noisy
+        with pytest.raises(ValueError, match=f"^delta must be > 0, got {delta}$"):
+            PipelineConfig(delta=delta)
+
+    @pytest.mark.parametrize("key", ["pitch_max", "max_depth"])
+    def test_rejects_infinite_geometry(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            PipelineConfig(**{key: math.inf})
+
+    def test_infinite_range_max_is_legal(self):
+        assert PipelineConfig(range_max=math.inf).range_max == math.inf
 
     def test_echo_contains_every_field(self):
         config = small_config(inputs=["synth:0", "synth:1"])
@@ -228,17 +243,23 @@ class TestRunScan:
         """Window-certified points plus nn_fallback_points are every point
         of both clouds, and the k-d trees resolve at most the fallback
         points (nn_tree_points); method none scores at another geometry,
-        so the k-d trees resolve every point."""
+        so the k-d trees resolve every point. A point is window-certified
+        when its exact distance is below its depth times the 3 x 7
+        window's radius."""
         report, artifacts = run_scan("synth:3", small_config(inputs=["synth:3"], method=method))
         test_ri = artifacts["degraded"] if artifacts["upscaled"] is None else artifacts["upscaled"]
+        ref_ri = artifacts["reference"]
         test_cloud, ref_cloud = artifacts["test_cloud"][0], artifacts["ref_cloud"][0]
-        found = window_distances(test_ri, artifacts["reference"], test_cloud.points, ref_cloud.points)
-        certified = 0 if found is None else sum(int(np.count_nonzero(~np.isnan(d))) for d in found)
         total = report["points_out"] + len(ref_cloud)
+        certified = 0
+        if test_ri.geometry == ref_ri.geometry:
+            for ri, cloud, other in ((test_ri, test_cloud, ref_cloud), (ref_ri, ref_cloud, test_cloud)):
+                left, _ = ladder_left(ri, cKDTree(other.points).query(cloud.points)[0], 0)
+                certified += len(cloud) - left
         assert certified + report["nn_fallback_points"] == total
         assert report["nn_tree_points"] <= report["nn_fallback_points"]
         if method == "none":
-            assert found is None and report["nn_fallback_points"] == total
+            assert certified == 0 and report["nn_fallback_points"] == total
             assert report["nn_tree_points"] == total
         else:
             assert 0 < report["nn_fallback_points"] < total // 4
@@ -257,6 +278,11 @@ class TestRunScan:
         ctx = prepare_scan("synth:0", small_config(inputs=["synth:0"]))
         with pytest.raises(ValueError, match="synth:0"):
             evaluate(ctx, small_config(inputs=["synth:0"], range_max=50.0))
+
+    @pytest.mark.parametrize("spec", ["synth:abc", "synth:", "synth:1.5", "synth:-1"])
+    def test_bad_synthetic_seed_names_the_input(self, spec):
+        with pytest.raises(ValueError, match=f"^{spec}: seed must be a non-negative integer$"):
+            load_scan(spec)
 
     def test_unknown_suffix_rejected(self, tmp_path):
         # 32 bytes would decode as two KITTI records if taken for a .bin

@@ -47,6 +47,17 @@ class TestGeometryValidation:
             RiGeometry(width=64, height=64, pitch_max=2, pitch_min=-24.8,
                        min_depth=5.0, max_depth=5.0)
 
+    @pytest.mark.parametrize("key", ["pitch_min", "pitch_max", "min_depth", "max_depth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fov_and_depths(self, key, value):
+        # an infinite max_depth would normalize every SSIM depth to 0, an
+        # infinite pitch bound would project every point to NaN
+        fields = dict(width=64, height=64, pitch_max=2, pitch_min=-24.8,
+                      min_depth=2, max_depth=120)
+        fields[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+            RiGeometry(**fields)
+
 
 class TestRangeImageValidation:
     def test_rejects_wrong_shape(self, small_geometry):

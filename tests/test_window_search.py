@@ -1,11 +1,12 @@
 """Property suite for the range-image window search in metrics.
 
-Every distance that nn_distances returns through the window or its
-widening ladder must be the one a default-built cKDTree gives with every
-point queried, bit for bit; the certificate (window_radius) must never
-exceed the true distance to a point outside any rung's window, and must
-not be so loose that a neighbour one pixel away goes uncertified. The
-k-d tree over the test cloud is built only when the ladder gives up.
+Every distance that nn_distances returns through its window ladder must
+be the one a default-built cKDTree gives with every point queried, bit
+for bit; the certificate (window_radius) must never exceed the true
+distance to a point outside any rung's window, and must not be so loose
+that a neighbour one pixel away goes uncertified. The counts of points
+left to the k-d trees follow from the exact distances, and the tree over
+the test cloud is built only when the reference cloud's ladder gives up.
 """
 import math
 
@@ -25,17 +26,17 @@ from riterp import (
     upscale_baseline,
 )
 from riterp import metrics
-from riterp.metrics import (WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, widen_window,
-                            window_distances, window_radius)
+from riterp.metrics import LADDER_PASSES, WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, window_radius
 from riterp.projection import pixel_center_angles
 
-from conftest import count_test_trees
+from conftest import count_test_trees, ladder_left
 from oracles import brute_window_minima
 
-WIDTHS = (7, 8, 16, 2048)
+WIDTHS = (2, 6, 7, 8, 16, 2048)
 KINDS = ("independent", "jittered", "quantized", "bilinear", "seam", "sparse", "hole")
-#: half-extents (rows, columns) of the 3 x 7 window and of the ladder's rungs
-RUNGS = ((WINDOW_ROWS, WINDOW_COLS), (2, 7), (4, 15), (8, 31), (16, 63))
+#: half-extents (rows, columns) of the ladder's rungs: the centre row, the
+#: 3 x 7 window, then the widening windows
+RUNGS = ((0, WINDOW_COLS), (WINDOW_ROWS, WINDOW_COLS), (2, 7), (4, 15), (8, 31), (16, 63))
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
 
 
@@ -67,7 +68,7 @@ def make_pair(seed: int, kind: str, geom: RiGeometry) -> tuple[RangeImage, Range
         test[rng.random(ref.shape) < 0.5] = 0.0
     elif kind == "quantized":
         test = quantize(RangeImage(geom, ref), int(rng.integers(4, 13))).depth
-    elif kind == "bilinear" and geom.width % 2 == 0:
+    elif kind == "bilinear" and geom.width % 2 == 0 and geom.width >= 4:
         # phantom depths between decimated neighbours, as the pipeline scores them
         deg = downsample_ri(RangeImage(geom, ref), 2, 1)
         test = upscale_baseline(deg, "bilinear", 2, 1).depth
@@ -101,14 +102,20 @@ def make_pair(seed: int, kind: str, geom: RiGeometry) -> tuple[RangeImage, Range
 
 
 def assert_equals_ckdtree(test: RangeImage, ref: RangeImage) -> None:
+    """nn_distances equals cKDTree bit for bit; the points left to the k-d
+    trees are those whose exact distance the 3 x 7 window cannot certify,
+    less those the reference cloud's ladder resolves within its budget."""
     a, b = ri_to_cloud(test), ri_to_cloud(ref)
     d_ab, d_ba, fallback, in_tree = nn_distances(a, b, ris=(test, ref))
-    assert np.array_equal(d_ab, cKDTree(b.points).query(a.points)[0])
-    assert np.array_equal(d_ba, cKDTree(a.points).query(b.points)[0])
-    found = window_distances(test, ref, a.points, b.points)
-    certified = 0 if found is None else sum(int(np.count_nonzero(~np.isnan(d))) for d in found)
+    exact_ab = cKDTree(b.points).query(a.points)[0]
+    exact_ba = cKDTree(a.points).query(b.points)[0]
+    assert np.array_equal(d_ab, exact_ab)
+    assert np.array_equal(d_ba, exact_ba)
+    left_a, _ = ladder_left(test, exact_ab, 0)
+    left_b, after_b = ladder_left(ref, exact_ba, LADDER_PASSES)
+    certified = len(a) - left_a + len(b) - left_b
     assert certified + fallback == len(a) + len(b)
-    assert in_tree <= fallback
+    assert in_tree == left_a + after_b <= fallback
 
 
 @st.composite
@@ -161,27 +168,28 @@ def test_ladder_resolves_a_hole_across_the_seam(monkeypatch):
     assert fallback > 100 and in_tree == 0 and not built
 
 
-@pytest.mark.parametrize("rung", [1, 2, 3])
+@pytest.mark.parametrize("rung", [2, 3, 4])
 def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, monkeypatch):
     """A reference point whose one test neighbour is as many rows off as
-    rung k reaches is certified by rung k when the budget holds exactly
-    rungs 1..k, and left NaN when the budget is one pixel short."""
+    rung k reaches, past the 3 x 7 window, is certified by rung k when the
+    budget holds exactly rungs 2..k, and left to the k-d tree over the
+    test cloud when the budget is one pixel short. The test point, out of
+    its own 3 x 7 window's reach, goes to the reference tree either way."""
     geom = KITTI_GEOMETRY
     ref = np.zeros((geom.height, geom.width))
     test = ref.copy()
     ref[10, 100] = test[10 + RUNGS[rung][0], 100] = 40.0
     a, b = RangeImage(geom, test), RangeImage(geom, ref)
     ca, cb = ri_to_cloud(a), ri_to_cloud(b)
-    pixels = sum((2 * rows + 1) * (2 * cols + 1) for rows, cols in RUNGS[1:rung + 1])
+    pixels = sum((2 * rows + 1) * (2 * cols + 1) for rows, cols in RUNGS[2:rung + 1])
     for slack, certified in ((0.5, True), (-0.5, False)):
         monkeypatch.setattr(metrics, "LADDER_PASSES", (pixels + slack) / (geom.height * geom.width))
-        _, d_b = window_distances(a, b, ca.points, cb.points)
-        assert np.isnan(d_b).all()
-        widen_window(a, ca.points, b, cb.points, d_b)
-        if certified:
-            assert d_b[0] == cKDTree(ca.points).query(cb.points)[0][0]
-        else:
-            assert np.isnan(d_b[0])
+        with pytest.MonkeyPatch.context() as trees:
+            built = count_test_trees(trees)
+            _, d_ba, fallback, in_tree = nn_distances(ca, cb, ris=(a, b))
+        assert d_ba[0] == cKDTree(ca.points).query(cb.points)[0][0]
+        assert fallback == 2
+        assert (in_tree, built) == ((1, [len(cb)]) if certified else (2, [len(cb), len(ca)]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -192,9 +200,7 @@ def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, monkeypatch):
 def test_test_tree_is_built_only_when_the_ladder_gives_up(geom, kind, seed):
     test, ref = make_pair(seed, kind, geom)
     a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    _, d_b = window_distances(test, ref, a.points, b.points)
-    widen_window(test, a.points, ref, b.points, d_b)
-    left = int(np.count_nonzero(np.isnan(d_b)))
+    _, left = ladder_left(ref, cKDTree(a.points).query(b.points)[0], LADDER_PASSES)
     with pytest.MonkeyPatch.context() as monkeypatch:
         built = count_test_trees(monkeypatch)
         _, d_ba, _, in_tree = nn_distances(a, b, KdTree(b), (test, ref))
@@ -209,7 +215,6 @@ def test_different_geometries_fall_back_to_the_tree():
     ref = RangeImage(geom, random_depths(rng, geom, 0.3))
     test = downsample_ri(ref, 2, 1)
     a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    assert window_distances(test, ref, a.points, b.points) is None
     d_ab, d_ba, fallback, in_tree = nn_distances(a, b, ris=(test, ref))
     assert np.array_equal(d_ab, cKDTree(b.points).query(a.points)[0])
     assert np.array_equal(d_ba, cKDTree(a.points).query(b.points)[0])
@@ -220,8 +225,9 @@ def test_different_geometries_fall_back_to_the_tree():
 @given(geom=geometries().filter(lambda g: g.width < 2048))
 def test_radius_bounds_every_ray_outside_the_window(geom):
     """Distance from a unit-depth point on each pixel-centre ray to every
-    pixel-centre ray outside its window is at least window_radius, for the
-    3 x 7 window and every rung of the ladder."""
+    pixel-centre ray outside its window is at least window_radius, for
+    every rung of the ladder: the centre row, the 3 x 7 window and the
+    widening windows."""
     v, u = np.indices((geom.height, geom.width)).reshape(2, -1)
     yaw, pitch = pixel_center_angles(geom, v, u)
     rays = np.stack([np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)], 1)
@@ -269,16 +275,15 @@ def test_radius_certifies_nothing_past_the_pole():
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(geom=geometries(), seed=st.integers(0, 2**32 - 1))
+@given(geom=geometries().filter(lambda g: g.width >= 2 * WINDOW_COLS + 1),
+       seed=st.integers(0, 2**32 - 1))
 @pytest.mark.parametrize("kind", KINDS)
 def test_window_minima_equal_brute_force(kind, geom, seed):
-    """Both directions' squared 3 x 7 window minima, which decide every
-    certificate and so nn_fallback_points, equal a dense per-point scan
-    of all 21 pixels, bit for bit (the centre row's settle gate skips no
-    point that another row would lower)."""
+    """Both directions' squared centre-row minima, rung 0 of the ladder,
+    which decide its first certificate, equal a dense per-point scan of
+    the 7 pixels of each point's own row, bit for bit."""
     test, ref = make_pair(seed, kind, geom)
     pa, pb = ri_to_cloud(test).points, ri_to_cloud(ref).points
-    min_a, min_b = metrics._window_minima(test, ref, pa, pb,
-                                          metrics._index_grid(test.occupied))
-    assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb)
-    assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa)
+    min_a, min_b = metrics._centre_row_minima(test, ref, pa, pb)
+    assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb, rows=0)
+    assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa, rows=0)
