@@ -89,10 +89,8 @@ class KdTree:
             raise ValueError("cannot index an empty cloud")
         self._tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
 
-    def query(self, points: np.ndarray | PointCloud) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-neighbor (distances, indices) for each query point."""
-        if isinstance(points, PointCloud):
-            points = points.points
+    def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-neighbor (distances, indices) for each row of (N, 3) points."""
         dist, idx = self._tree.query(points, k=1, workers=1)
         return np.atleast_1d(dist), np.atleast_1d(idx)
 

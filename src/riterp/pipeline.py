@@ -34,7 +34,7 @@ from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, 
                        check_policy, check_window, upscale_gradient)
 from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometry, quantize
 from .metrics import KdTree, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
-from .pointcloud import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
+from .pointcloud import PointCloud, check_range, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import (KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud,
                          write_pgm)
 from .synth import synth_scene
@@ -53,8 +53,8 @@ INTERP_COLOR = (255, 40, 40)
 @dataclass
 class PipelineConfig:
     """Every knob of one experiment run. Construction applies the stages'
-    own checks (geometry, factors, bits, gradient windows, policy), so a
-    bad config fails before any scan."""
+    own checks (geometry, range filter, factors, bits, gradient windows,
+    policy), so a bad config fails before any scan."""
 
     inputs: list[str] = field(default_factory=list)
     width: int = KITTI_GEOMETRY.width
@@ -86,6 +86,7 @@ class PipelineConfig:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
         if not self.delta > 0:  # NaN too
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        check_range(self.range_min, self.range_max)
         # before the geometry, which `riterp interp` sizes by the factors
         check_factors(self.factor_x, self.factor_y)
         degraded = downsampled_geometry(self.geometry, self.factor_x, self.factor_y)

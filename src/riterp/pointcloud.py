@@ -193,11 +193,16 @@ def _ply_header(fh) -> tuple[list[str], list[str], int]:
     return names, formats, count
 
 
-def filter_by_range(cloud: PointCloud, min_r: float, max_r: float) -> PointCloud:
-    """Keep points with min_r <= range <= max_r, order preserved."""
-    if not (0 <= min_r < max_r):
-        raise ValueError(f"require 0 <= min_r < max_r, got [{min_r}, {max_r}]")
+def check_range(range_min: float, range_max: float) -> None:
+    """Raise ValueError unless 0 <= range_min < range_max (NaN fails)."""
+    if not (0 <= range_min < range_max):
+        raise ValueError(f"require 0 <= range_min < range_max, got [{range_min}, {range_max}]")
+
+
+def filter_by_range(cloud: PointCloud, range_min: float, range_max: float) -> PointCloud:
+    """Keep points with range_min <= range <= range_max, order preserved."""
+    check_range(range_min, range_max)
     r = cloud.ranges()
-    keep = np.flatnonzero((r >= min_r) & (r <= max_r))
+    keep = np.flatnonzero((r >= range_min) & (r <= range_max))
     intensity = cloud.intensity.take(keep) if cloud.intensity is not None else None
     return PointCloud(points=cloud.points.take(keep, axis=0), intensity=intensity)

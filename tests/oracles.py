@@ -198,15 +198,26 @@ def decode_kitti_bin(path) -> list[tuple[float, float, float, float]]:
 
 # ------------------------------------------------------- plan ordering
 
-def brute_best_k_per_window(plan, k: int | None, policy_order: str) -> set:
+def brute_best_k_per_window(depth: np.ndarray, window_w: int, window_h: int, grad_threshold: float,
+                            k: int | None, policy_order: str) -> set:
     """(row, col) of the k best valid sites per window under the policy
-    (every valid site for k None), by a plain sort on (key, row, col)
-    where the key sorts the policy's preferred site first, with each
-    site's window worked out from its pixel."""
+    (every valid site for k None), found in the range image by plain
+    loops, window by window and pair by pair. The site (row, col) joins
+    pixels (row, col) and (row, col + 1) of one window; it is valid when
+    neither depth is EMPTY (0.0) and they differ by at most
+    grad_threshold. A window's valid sites sort on (key, row, col), where
+    the key (the smaller depth, negated for descending order) sorts the
+    policy's preferred site first."""
     sign = 1.0 if policy_order == "ascending_depth" else -1.0
-    windows: dict[tuple[int, int], list] = {}
-    for d, r, c, valid in zip(plan.neighbor_depth.tolist(), plan.row.tolist(), plan.col.tolist(),
-                              plan.valid.tolist()):
-        if valid:
-            windows.setdefault((r // plan.window_h, c // plan.window_w), []).append((sign * d, r, c))
-    return {(r, c) for sites in windows.values() for _, r, c in sorted(sites)[:k]}
+    grid = depth.tolist()
+    best = set()
+    for top in range(0, len(grid), window_h):
+        for left in range(0, len(grid[0]), window_w):
+            sites = []
+            for r in range(top, top + window_h):
+                for c in range(left, left + window_w - 1):
+                    a, b = grid[r][c], grid[r][c + 1]
+                    if a != 0.0 and b != 0.0 and abs(b - a) <= grad_threshold:
+                        sites.append((sign * min(a, b), r, c))
+            best.update((r, c) for _, r, c in sorted(sites)[:k])
+    return best

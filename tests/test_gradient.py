@@ -40,6 +40,7 @@ BAD_POLICIES = [
     (dict(grad_threshold=0.0), "grad_threshold"),
     (dict(grad_threshold=float("nan")), "grad_threshold"),
     (dict(max_fills=-1), "max_fills"),
+    (dict(max_fills=2.5), "max_fills"),
 ]
 
 
@@ -68,35 +69,37 @@ class TestPolicyValidation:
 
 
 class TestExploreWindows:
+    # plans are indexed [r, k, i, j]: window row r, window column k, row i
+    # and pair (j, j + 1) inside the window
+
     def test_small_gradient_pair_is_valid(self):
         ri = row_ri([4.0, 4.2])
         plan = explore_windows(ri, window_w=2, window_h=1, grad_threshold=2.5)
-        row0 = plan.row == 0
-        assert row0.sum() == 1
-        assert plan.valid[row0][0]
-        assert plan.fill_value[row0][0] == pytest.approx(4.1)
-        assert plan.neighbor_depth[row0][0] == 4.0
+        assert plan.valid.shape == (2, 1, 1, 1)  # one site per row
+        assert plan.valid[0, 0, 0, 0]
+        assert plan.fill_value[0, 0, 0, 0] == pytest.approx(4.1)
+        assert plan.neighbor_depth[0, 0, 0, 0] == 4.0
 
     def test_empty_neighbor_invalidates(self):
         ri = row_ri([4.0, EMPTY])
         plan = explore_windows(ri, 2, 1)
-        row0 = plan.row == 0
-        assert row0.sum() == 1
-        assert not plan.valid[row0][0]
+        assert plan.valid.shape == (2, 1, 1, 1)
+        assert not plan.valid[0, 0, 0, 0]
 
     def test_threshold_gates_validity(self):
         ri = row_ri([4.0, 10.0])
         strict = explore_windows(ri, 2, 1, grad_threshold=2.5)
         assert not strict.valid.any()
         loose = explore_windows(ri, 2, 1, grad_threshold=10.0)
-        row0 = loose.row == 0
-        assert loose.valid[row0][0]
-        assert loose.fill_value[row0][0] == pytest.approx(7.0)
+        assert loose.valid[0, 0, 0, 0]
+        assert loose.fill_value[0, 0, 0, 0] == pytest.approx(7.0)
 
     def test_window_border_pairs_excluded(self):
         ri = row_ri([10.0, 11.0, 12.0, 13.0])
         plan = explore_windows(ri, window_w=2, window_h=1)
-        assert sorted(plan.col[plan.row == 0].tolist()) == [0, 2]  # pair (1, 2) crosses the window border
+        # the sites (0, 0) and (0, 2); pair (1, 2) crosses the window border
+        assert plan.fill_value.shape == (2, 2, 1, 1)
+        assert plan.fill_value[0, :, 0, 0].tolist() == [10.5, 12.5]
 
     def test_non_tiling_window_rejected(self):
         ri = row_ri([4.0, 4.0, 4.0])
@@ -113,6 +116,12 @@ class TestExploreWindows:
         ri = random_ri(np.random.default_rng(0), row_geometry(64, height=4))
         with pytest.raises(ValueError, match="does not tile"):
             upscale_gradient(ri, 32, window_h)
+
+    @pytest.mark.parametrize("window", [(32.0, 4), (32, 4.0)])
+    def test_non_integer_window_rejected(self, window):
+        ri = random_ri(np.random.default_rng(0), row_geometry(64, height=4))
+        with pytest.raises(ValueError, match="integer"):
+            upscale_gradient(ri, *window)
 
     def test_plan_covers_all_inside_pairs(self, synth_ri):
         deg = downsample_ri(synth_ri, 2, 1)
@@ -147,11 +156,11 @@ class TestPlanProperties:
     def test_plan_and_output(self, case):
         ri, window_w, window_h, grad_threshold, max_fills, policy_order = case
         plan = explore_windows(ri, window_w, window_h, grad_threshold)
-        sites = list(zip(plan.row.tolist(), plan.col.tolist()))
-        assert sites == sorted(set(sites))  # (row, col) order, each site once
+        assert_plan_is_windows(ri, plan, window_w, window_h)
         out = interpolate(ri, plan, max_fills, policy_order)
         assert_boundary_safe(ri, out, grad_threshold)
-        assert filled_sites(out) == brute_best_k_per_window(plan, max_fills, policy_order)
+        assert filled_sites(out) == brute_best_k_per_window(ri.depth, window_w, window_h, grad_threshold,
+                                                            max_fills, policy_order)
         if max_fills is None:
             # without a budget the order decides nothing
             other = DESCENDING if policy_order == ASCENDING else ASCENDING
@@ -202,7 +211,14 @@ class TestInterpolate:
                 ri = random_ri(rng, small_geometry, empty_fraction=0.2)
                 plan = explore_windows(ri, 4, 2, grad_threshold=40.0)
                 out = interpolate(ri, plan, k, order)
-                assert filled_sites(out) == brute_best_k_per_window(plan, k, order)
+                assert filled_sites(out) == brute_best_k_per_window(ri.depth, 4, 2, 40.0, k, order)
+
+    @pytest.mark.parametrize("order", [ASCENDING, DESCENDING])
+    def test_production_window_budget_matches_brute_force(self, synth_ri, order):
+        # a 32x4 window holds 124 sites, and 10-bit depths tie often
+        deg = quantize(downsample_ri(synth_ri, 2, 1), 10)
+        out = upscale_gradient(deg, 32, 4, 2.5, 3, order)
+        assert filled_sites(out) == brute_best_k_per_window(deg.depth, 32, 4, 2.5, 3, order)
 
     def test_plan_mismatch_rejected(self, small_geometry):
         ri = random_ri(np.random.default_rng(2), small_geometry)
@@ -301,6 +317,20 @@ def filled_sites(out: RangeImage) -> set:
     """(row, col) of every filled site: output column 2c + 1 holds the
     site between source columns c and c + 1."""
     return {(int(r), int(c)) for r, c in zip(*np.nonzero(out.depth[:, 1::2] != EMPTY))}
+
+
+def assert_plan_is_windows(ri: RangeImage, plan, window_w: int, window_h: int):
+    """plan[r, k, i, j] is the site between pixels (v, u) and (v, u + 1),
+    v = r * window_h + i, u = k * window_w + j, for every pair inside a
+    window and no other."""
+    g = ri.geometry
+    assert plan.valid.shape == (g.height // window_h, g.width // window_w, window_h, window_w - 1)
+    assert plan.fill_value.shape == plan.neighbor_depth.shape == plan.valid.shape
+    grid = ri.depth.tolist()
+    fill, near = plan.fill_value.tolist(), plan.neighbor_depth.tolist()
+    for r, k, i, j in np.ndindex(plan.valid.shape):
+        a, b = grid[r * window_h + i][k * window_w + j: k * window_w + j + 2]
+        assert (fill[r][k][i][j], near[r][k][i][j]) == (a + (b - a) / 2.0, min(a, b))
 
 
 def assert_boundary_safe(src: RangeImage, out: RangeImage, threshold: float):

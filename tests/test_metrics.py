@@ -120,14 +120,14 @@ class TestNoiseRatio:
         rng = np.random.default_rng(8)
         ref = PointCloud(points=rng.uniform(-10, 10, size=(500, 3)))
         interp = PointCloud(points=ref.points[::5])
-        ratio, densify = noise_split(KdTree(ref).query(interp)[0], 0.5)
+        ratio, densify = noise_split(KdTree(ref).query(interp.points)[0], 0.5)
         assert ratio == 0.0
         assert densify == len(interp)
 
     def test_far_point_scores_one(self):
         ref = PointCloud(points=[[0.0, 0.0, 0.0]])
         interp = PointCloud(points=[[10.0, 0.0, 0.0]])
-        ratio, densify = noise_split(KdTree(ref).query(interp)[0], 0.5)
+        ratio, densify = noise_split(KdTree(ref).query(interp.points)[0], 0.5)
         assert ratio == 1.0
         assert densify == 0
 
@@ -141,7 +141,7 @@ class TestNoiseRatio:
 
     def test_empty_interp_cloud(self):
         ref = PointCloud(points=[[0.0, 0.0, 0.0]])
-        dist, _ = KdTree(ref).query(PointCloud(points=np.zeros((0, 3))))
+        dist, _ = KdTree(ref).query(np.zeros((0, 3)))
         assert noise_split(dist, 0.5) == (0.0, 0)
 
     def test_monotone_in_delta(self):
@@ -149,7 +149,7 @@ class TestNoiseRatio:
         ref = PointCloud(points=rng.uniform(-10, 10, size=(300, 3)))
         interp = PointCloud(points=rng.uniform(-12, 12, size=(200, 3)))
         deltas = [0.1, 0.5, 1.0, 2.0, 5.0]
-        dist, _ = KdTree(ref).query(interp)
+        dist, _ = KdTree(ref).query(interp.points)
         ratios = [noise_split(dist, d)[0] for d in deltas]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
@@ -157,7 +157,7 @@ class TestNoiseRatio:
         rng = np.random.default_rng(10)
         ref = PointCloud(points=rng.uniform(-10, 10, size=(300, 3)))
         interp = PointCloud(points=rng.uniform(-12, 12, size=(200, 3)))
-        ratio, densify = noise_split(KdTree(ref).query(interp)[0], 0.5)
+        ratio, densify = noise_split(KdTree(ref).query(interp.points)[0], 0.5)
         assert ratio * len(interp) + densify == pytest.approx(len(interp))
 
 

@@ -122,6 +122,14 @@ class TestConfigValidation:
     def test_infinite_range_max_is_legal(self):
         assert PipelineConfig(range_max=math.inf).range_max == math.inf
 
+    @pytest.mark.parametrize("bounds", [dict(range_min=math.nan), dict(range_max=math.nan),
+                                        dict(range_min=50.0, range_max=10.0), dict(range_min=-1.0),
+                                        dict(range_min=5.0, range_max=5.0)])
+    def test_rejects_bad_range_filter(self, bounds):
+        # the range filter's own rule, named by the config keys
+        with pytest.raises(ValueError, match=r"^require 0 <= range_min < range_max"):
+            PipelineConfig(**bounds)
+
     def test_echo_contains_every_field(self):
         config = small_config(inputs=["synth:0", "synth:1"])
         echo = config.echo()
@@ -189,7 +197,7 @@ class TestRunScan:
         ref_cloud = ri_to_cloud(ref)
         test_cloud = ri_to_cloud(up)
         _, cols = np.nonzero(up.occupied)
-        interp = PointCloud(points=test_cloud.points[cols % 2 != 0])
+        interp = test_cloud.points[cols % 2 != 0]
         ratio, densify = noise_split(KdTree(ref_cloud).query(interp)[0], config.delta)
 
         assert report["ssim"] == ssim(up, ref)
@@ -455,6 +463,15 @@ class TestSweep:
         assert len(rows) == 1
         assert "ingest" in rows[0]["error"]
 
+    def test_bad_range_filter_cell_becomes_row(self, monkeypatch):
+        calls = count_loads(monkeypatch)
+        config = small_config(inputs=["synth:0"], method="bilinear", range_max=60.0)
+        rows = sweep(config, {"range_min": [2.0, 80.0]})
+        assert [row["range_min"] for row in rows] == [2.0, 80.0]
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"].startswith("config: require 0 <= range_min < range_max")
+        assert calls == ["synth:0"]  # the bad cell prepares no scan
+
     def test_invalid_cell_becomes_row(self):
         config = small_config(inputs=["synth:0"], method="bilinear", factor_x=4)
         rows = sweep(config, {"method": ["bilinear", "gradient"]})
@@ -682,6 +699,15 @@ class TestCli:
                      "--out-dir", str(out), "--no-artifacts"])
         assert code == 1
         assert "does not tile" in capsys.readouterr().err
+        assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--range-min", "nan"], ["--range-min", "50", "--range-max", "10"]])
+    def test_bad_range_filter_fails_before_any_scan(self, tmp_path, capsys, monkeypatch, flags):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["pipeline", "synth:0", *flags, "--out-dir", str(out), "--no-artifacts"])
+        assert code == 1
+        assert "range_min < range_max" in capsys.readouterr().err
         assert not calls and not out.exists()
 
     def test_indivisible_factor_fails_before_any_scan(self, tmp_path, capsys, monkeypatch):

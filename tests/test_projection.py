@@ -184,7 +184,7 @@ class TestRiToCloud:
         # surviving input point; check via NN distance against the input
         out = ri_to_cloud(synth_ri)
         tree = KdTree(synth_cloud)
-        dist, _ = tree.query(out)
+        dist, _ = tree.query(out.points)
         g = synth_ri.geometry
         half_pixel_diag = math.pi / g.width + math.radians(g.pitch_span) / (2 * g.height)
         bound = np.linalg.norm(out.points, axis=1) * half_pixel_diag + 1e-6
