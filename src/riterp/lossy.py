@@ -16,20 +16,25 @@ from .projection import EMPTY, RangeImage, RiGeometry
 
 
 def check_bits(bits: int) -> None:
-    """Raise ValueError unless 4 <= bits <= 16."""
+    """Raise ValueError unless bits is an integer in [4, 16]."""
+    if not isinstance(bits, (int, np.integer)):
+        raise ValueError(f"bits must be an integer, got {bits}")
     if not 4 <= bits <= 16:
         raise ValueError(f"bits must be in [4, 16], got {bits}")
 
 
 def check_factors(factor_x: int, factor_y: int) -> None:
-    """Raise ValueError unless both factors are >= 1."""
+    """Raise ValueError unless both factors are integers >= 1."""
+    for key, factor in (("factor_x", factor_x), ("factor_y", factor_y)):
+        if not isinstance(factor, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {factor}")
     if factor_x < 1 or factor_y < 1:
         raise ValueError(f"factors must be >= 1, got ({factor_x}, {factor_y})")
 
 
 def downsampled_geometry(g: RiGeometry, factor_x: int, factor_y: int = 1) -> RiGeometry:
     """The geometry downsample_ri gives an image of geometry g. Raises
-    ValueError unless both factors are >= 1 and divide g's size."""
+    ValueError unless both factors are integers >= 1 that divide g's size."""
     check_factors(factor_x, factor_y)
     if g.width % factor_x or g.height % factor_y:
         raise ValueError(f"factors ({factor_x}, {factor_y}) do not divide {g.width}x{g.height}")

@@ -9,8 +9,10 @@ at once; rung 1 adds the rows above and below (3 x 7); rungs 2, 3, ...
 widen the window (5 x 15, 9 x 31, ...) for the reference cloud only. A
 rung's minimum is exact when it is below the point's depth times
 window_radius, the sine of the least angle to any ray outside the
-window. KdTree (scipy's cKDTree) resolves the points still without an
-answer, and every point when the geometries differ.
+window. Both passes find the point at a pixel through one index grid per
+image (_index_grid: pixel -> point, -1 at EMPTY), built once per call.
+KdTree (scipy's cKDTree) resolves the points still without an answer,
+and every point when the geometries differ.
 """
 from __future__ import annotations
 
@@ -135,31 +137,6 @@ def window_radius(geom: RiGeometry, rows: int, cols: int) -> float:
     return math.sin(min(theta, math.pi / 2))
 
 
-def _coordinate_band(occupied: np.ndarray, points: np.ndarray, starts: np.ndarray, r0: int,
-                     r1: int, pad_cols: int) -> np.ndarray:
-    """(3, r1 - r0, W + 2 pad_cols) grid of x, y, z holding an image's
-    points of rows r0 .. r1 - 1 at their pixels; NaN at EMPTY pixels.
-    `occupied` is the image's mask, `points` ri_to_cloud's points and
-    `starts[v]` the index of row v's first point. Padding columns repeat
-    the columns across the +-pi seam."""
-    w = occupied.shape[1]
-    band = np.full((3, r1 - r0, w + 2 * pad_cols), np.nan)
-    core = band[:, :, pad_cols:pad_cols + w]
-    mask, inside = occupied[r0:r1], points[starts[r0]:starts[r1]]
-    for axis in range(3):
-        core[axis][mask] = inside[:, axis]
-    if pad_cols:
-        band[:, :, :pad_cols] = band[:, :, w:w + pad_cols]
-        band[:, :, -pad_cols:] = band[:, :, pad_cols:2 * pad_cols]
-    return band
-
-
-def _row_starts(occupied: np.ndarray) -> np.ndarray:
-    """Index of each row's first point in ri_to_cloud's output for an
-    image with this mask, plus the total."""
-    return np.concatenate([[0], np.cumsum(np.count_nonzero(occupied, axis=1))])
-
-
 def _index_grid(occupied: np.ndarray) -> np.ndarray:
     """(H + 1) x W grid of each pixel's index in ri_to_cloud's output for
     an image with this mask; -1 at EMPTY pixels and in the extra last row,
@@ -168,6 +145,16 @@ def _index_grid(occupied: np.ndarray) -> np.ndarray:
     index = np.full((h + 1, w), -1, dtype=np.intp)
     index[:h][occupied] = np.arange(np.count_nonzero(occupied))
     return index
+
+
+def _points_at(index: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(3, *index.shape) x, y, z of the (N, 3) points at these _index_grid
+    entries; NaN where an entry is -1."""
+    out = np.empty((3, *index.shape))
+    for axis in range(3):
+        out[axis] = points[:, axis][index]
+    np.copyto(out, np.nan, where=index < 0)
+    return out
 
 
 def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.ndarray,
@@ -186,68 +173,62 @@ def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.nda
         rows = v[part, None] + dv
         rows[(rows < 0) | (rows >= h)] = h
         cols = (u[part, None] + du) % w
-        near = index.take(rows[:, :, None] * w + cols[:, None, :])  # flat indices
-        diff = pa.take(near, axis=0)
-        diff -= q[part, None, None]
+        diff = _points_at(index.take(rows[:, :, None] * w + cols[:, None, :]), pa)  # flat indices
+        diff -= q[part].T[:, :, None, None]
         np.square(diff, out=diff)
-        d2 = diff[..., 0] + diff[..., 1]
-        d2 += diff[..., 2]
-        d2[near < 0] = np.inf
-        out[part] = d2.min(axis=(1, 2))
+        d2 = diff[0] + diff[1]
+        d2 += diff[2]
+        out[part] = np.fmin.reduce(d2, axis=(1, 2), initial=np.inf)  # fmin: NaN (EMPTY) loses
     return out
 
 
-def _centre_row_minima(a: RangeImage, b: RangeImage, pa: np.ndarray,
+def _centre_row_minima(index_a: np.ndarray, index_b: np.ndarray, pa: np.ndarray,
                        pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared minima, per point of a and of b, over the other cloud's
     points in the centre row of the window: the point's own row, columns
-    within WINDOW_COLS (wrapped at the +-pi seam). a and b share a
-    geometry at least 2 WINDOW_COLS + 1 wide; pa and pb are their
-    ri_to_cloud points.
+    within WINDOW_COLS (wrapped at the +-pi seam). index_a and index_b are
+    the _index_grids of two images of one geometry at least
+    2 WINDOW_COLS + 1 wide, and pa and pb their ri_to_cloud points.
 
     One dense pass, in bands of rows, serves both directions, since
     d(p, q) = d(q, p); distances are (dx^2 + dy^2) + dz^2 in float64, like
     cKDTree's. Its scratch is freed on return.
     """
-    g = a.geometry
-    h, w = g.height, g.width
+    h, w = index_a.shape[0] - 1, index_a.shape[1]
     cc = WINDOW_COLS
-    occ_a, occ_b = a.occupied, b.occupied
-    starts_a, starts_b = _row_starts(occ_a), _row_starts(occ_b)
-    # squared centre-row minima of b's pixels, padded like b's bands; the
-    # padding columns are folded back across the seam below
+    cols = np.arange(-cc, w + cc) % w  # b's bands repeat the columns across the seam
+    # squared centre-row minima at every pixel of a, and of b padded like
+    # b's bands; the padding columns are folded back across the seam below
+    min_a = np.full((h, w), np.inf)
     min_b = np.full((h, w + 2 * cc), np.inf)
-    min_a = np.empty(starts_a[-1])
     for r0 in range(0, h, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, h)
-        band_a = _coordinate_band(occ_a, pa, starts_a, r0, r1, 0)
-        band_b = _coordinate_band(occ_b, pb, starts_b, r0, r1, cc)
-        band_min_a = np.full(band_a.shape[1:], np.inf)
+        band_a = _points_at(index_a[r0:r1], pa)
+        band_b = _points_at(index_b[r0:r1, cols], pb)
         diff = np.empty(band_a.shape)
-        d2 = np.empty(band_min_a.shape)
+        d2 = np.empty(band_a.shape[1:])
         for du in range(2 * cc + 1):
             np.subtract(band_a, band_b[:, :, du:du + w], out=diff)
             np.multiply(diff, diff, out=diff)
             np.add(diff[0], diff[1], out=d2)
             np.add(d2, diff[2], out=d2)
-            np.fmin(band_min_a, d2, out=band_min_a)  # fmin: NaN (EMPTY) loses
+            np.fmin(min_a[r0:r1], d2, out=min_a[r0:r1])  # fmin: NaN (EMPTY) loses
             band_min_b = min_b[r0:r1, du:du + w]
             np.fmin(band_min_b, d2, out=band_min_b)
-        min_a[starts_a[r0]:starts_a[r1]] = band_min_a[occ_a[r0:r1]]
     core_b = min_b[:, cc:cc + w]
     np.fmin(core_b[:, w - cc:], min_b[:, :cc], out=core_b[:, w - cc:])
     np.fmin(core_b[:, :cc], min_b[:, w + cc:], out=core_b[:, :cc])
-    return min_a, core_b[occ_b]
+    return min_a[index_a[:h] >= 0], core_b[index_b[:h] >= 0]
 
 
 def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray,
-            other: tuple[RangeImage, np.ndarray], passes: float) -> tuple[np.ndarray, int]:
+            other: tuple[np.ndarray, np.ndarray], passes: float) -> tuple[np.ndarray, int]:
     """Distances from ri's points p to the other cloud's points that the
     window ladder certifies, NaN elsewhere, and how many points rung 1
     left uncertified.
 
     `minima` are p's squared _centre_row_minima; `other` is the other
-    cloud's (range image, ri_to_cloud points), over ri's geometry. Rung k
+    cloud's (_index_grid, ri_to_cloud points), over ri's geometry. Rung k
     searches the pixels within (rows, cols) of each point's pixel (rows
     clipped at the image border, columns wrapped at the seam) for the
     points the rungs before it left, and certifies a minimum below depth *
@@ -265,13 +246,13 @@ def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray,
     if left.size == 0:
         return d, 0
     d[left] = np.nan
-    index, pixel = _index_grid(other[0].occupied), np.flatnonzero(ri.occupied)
+    pixel = np.flatnonzero(ri.occupied)
     minima, n_left = minima[left], None
     rows, cols, budget = WINDOW_ROWS, WINDOW_COLS, passes * h * w
     dv, du = np.r_[-rows:0, 1:rows + 1], np.arange(-cols, cols + 1)  # rung 1
     while True:
         v, u = np.divmod(pixel[left], w)
-        minima = np.minimum(minima, _gathered_minima(index, other[1], p[left], v, u, dv, du))
+        minima = np.minimum(minima, _gathered_minima(*other, p[left], v, u, dv, du))
         found = np.sqrt(minima)
         sure = found < depth[left] * (window_radius(g, rows, cols) * (1.0 - _CERT_SLACK))
         d[left[sure]] = found[sure]
@@ -311,9 +292,10 @@ def nn_distances(
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
     g = None if ris is None else ris[0].geometry
     if g is not None and g == ris[1].geometry and g.width >= 2 * WINDOW_COLS + 1:
-        min_a, min_b = _centre_row_minima(*ris, a.points, b.points)
-        d_ab, left_a = _ladder(ris[0], a.points, min_a, (ris[1], b.points), 0)
-        d_ba, left_b = _ladder(ris[1], b.points, min_b, (ris[0], a.points), LADDER_PASSES)
+        index_a, index_b = _index_grid(ris[0].occupied), _index_grid(ris[1].occupied)
+        min_a, min_b = _centre_row_minima(index_a, index_b, a.points, b.points)
+        d_ab, left_a = _ladder(ris[0], a.points, min_a, (index_b, b.points), 0)
+        d_ba, left_b = _ladder(ris[1], b.points, min_b, (index_a, a.points), LADDER_PASSES)
         n_fallback = left_a + left_b
     else:
         d_ab, d_ba = np.full(len(a), np.nan), np.full(len(b), np.nan)

@@ -24,6 +24,7 @@ import itertools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -206,16 +207,16 @@ def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
     return color
 
 
-def _timed(timings: dict[str, float], stage: str, fn, *args):
-    """fn(*args), adding its wall time in ms to timings[stage]; any
-    exception is raised as a StageError naming the stage."""
+@contextmanager
+def _stage(timings: dict[str, float], stage: str):
+    """Add the block's wall time in ms to timings[stage]; any exception in
+    the block is raised as a StageError naming the stage."""
     t0 = time.perf_counter()
     try:
-        result = fn(*args)
+        yield
     except Exception as exc:
         raise StageError(stage, exc) from exc
     timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0) * 1e3
-    return result
 
 
 @dataclass
@@ -235,35 +236,29 @@ class ScanContext:
     pending_ms: dict[str, float]
 
 
-def _filter_nonempty(spec: str, cloud: PointCloud, config: PipelineConfig) -> PointCloud:
-    cloud = filter_by_range(cloud, config.range_min, config.range_max)
-    if len(cloud) == 0:
-        raise ValueError(f"{spec}: no points within range [{config.range_min}, {config.range_max}]")
-    return cloud
-
-
-def _project_nonempty(spec: str, cloud: PointCloud, config: PipelineConfig) -> RangeImage:
-    ri = cloud_to_ri(cloud, config.geometry)
-    if not ri.occupied.any():
-        g = config.geometry
-        raise ValueError(f"{spec}: no points fall inside the geometry's vertical FOV "
-                         f"[{g.pitch_min}, {g.pitch_max}] deg and depth clamp "
-                         f"[{g.min_depth}, {g.max_depth}]")
-    return ri
-
-
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     """Run ingest, filter and project on one input, and build the
     reference cloud, its k-d tree and its SSIM terms. Raises StageError
     with the failing stage's name; the reference cloud counts as
     reconstruct time, the tree and the SSIM terms as score time."""
     timings: dict[str, float] = {}
-    cloud = _timed(timings, "ingest", load_scan, spec)
-    cloud = _timed(timings, "filter", _filter_nonempty, spec, cloud, config)
-    ref_ri = _timed(timings, "project", _project_nonempty, spec, cloud, config)
-    ref_cloud = _timed(timings, "reconstruct", ri_to_cloud, ref_ri)
-    ref_tree = _timed(timings, "score", KdTree, ref_cloud)
-    ref_ssim = _timed(timings, "score", ssim_terms, ref_ri)
+    with _stage(timings, "ingest"):
+        cloud = load_scan(spec)
+    with _stage(timings, "filter"):
+        cloud = filter_by_range(cloud, config.range_min, config.range_max)
+        if len(cloud) == 0:
+            raise ValueError(f"{spec}: no points within range [{config.range_min}, {config.range_max}]")
+    with _stage(timings, "project"):
+        g = config.geometry
+        ref_ri = cloud_to_ri(cloud, g)
+        if not ref_ri.occupied.any():
+            raise ValueError(f"{spec}: no points fall inside the geometry's vertical FOV "
+                             f"[{g.pitch_min}, {g.pitch_max}] deg and depth clamp "
+                             f"[{g.min_depth}, {g.max_depth}]")
+    with _stage(timings, "reconstruct"):
+        ref_cloud = ri_to_cloud(ref_ri)
+    with _stage(timings, "score"):
+        ref_tree, ref_ssim = KdTree(ref_cloud), ssim_terms(ref_ri)
     return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_cloud,
                        ref_tree, ref_ssim, timings)
 
@@ -286,19 +281,15 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
         raise ValueError(f"{ctx.spec}: scan context was prepared for another range or geometry")
     timings = dict.fromkeys(STAGES, 0.0)
     ref_ri, ref_cloud = ctx.ref_ri, ctx.ref_cloud
-    deg_ri = _timed(timings, "degrade", degrade_ri, ref_ri, config.factor_x, config.factor_y,
-                    config.bits)
-    up_ri = _timed(timings, "interp", upscale_ri, deg_ri, config)
-
-    def reconstruct():
+    with _stage(timings, "degrade"):
+        deg_ri = degrade_ri(ref_ri, config.factor_x, config.factor_y, config.bits)
+    with _stage(timings, "interp"):
+        up_ri = upscale_ri(deg_ri, config)
+    with _stage(timings, "reconstruct"):
         test_ri = up_ri if up_ri is not None else deg_ri
         test_cloud = ri_to_cloud(test_ri)
         mask = interp_mask(test_ri, config.factor_x, config.factor_y) if up_ri is not None else None
-        return test_ri, test_cloud, mask
-
-    test_ri, test_cloud, mask = _timed(timings, "reconstruct", reconstruct)
-
-    def score():
+    with _stage(timings, "score"):
         if up_ri is not None:
             ssim_score = ssim(test_ri, ref_ri, ctx.ref_ssim)
         else:
@@ -316,9 +307,6 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
             ratio, densify, n_interp = None, 0, 0
         quality = {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),
                    "densify_count": densify}
-        return quality, n_interp, n_fallback, n_tree
-
-    quality, n_interp, n_fallback, n_tree = _timed(timings, "score", score)
     for stage, ms in ctx.pending_ms.items():
         timings[stage] += ms
     ctx.pending_ms = {}

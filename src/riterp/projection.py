@@ -34,6 +34,9 @@ class RiGeometry:
     max_depth: float  # meters
 
     def __post_init__(self):
+        for key in ("width", "height"):
+            if not isinstance(getattr(self, key), (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)}")
         for key in ("pitch_min", "pitch_max", "min_depth", "max_depth"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")

@@ -31,6 +31,18 @@ class TestDownsample:
         out = downsample_ri(ri, 1, 1)
         assert np.array_equal(out.depth, ri.depth)
 
+    @pytest.mark.parametrize("factors, key", [((2.0, 1), "factor_x"), ((2, 1.5), "factor_y")])
+    def test_non_integer_factor_rejected(self, small_geometry, factors, key):
+        # a float factor failed inside numpy's slicing, naming neither factor
+        ri = random_ri(np.random.default_rng(0), small_geometry)
+        value = factors[key == "factor_y"]
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
+            downsample_ri(ri, *factors)
+
+    def test_numpy_integer_factors_are_legal(self, small_geometry):
+        ri = random_ri(np.random.default_rng(0), small_geometry)
+        assert np.array_equal(downsample_ri(ri, np.int64(2), np.int8(1)).depth, ri.depth[:, ::2])
+
     def test_non_divisible_factor_rejected(self, small_geometry):
         ri = random_ri(np.random.default_rng(2), small_geometry)
         with pytest.raises(ValueError, match="divide"):
@@ -85,6 +97,16 @@ class TestQuantize:
         for bits in (3, 17):
             with pytest.raises(ValueError, match="bits"):
                 quantize(ri, bits)
+
+    @pytest.mark.parametrize("bits", [10.5, 10.0])
+    def test_rejects_non_integer_bits(self, small_geometry, bits):
+        # 10.5 bits would divide the span into 2**10.5 - 2 cells, which no codec has
+        with pytest.raises(ValueError, match=f"^bits must be an integer, got {bits}$"):
+            quantize(self._ri([5.0], small_geometry), bits)
+
+    def test_numpy_integer_bits_are_legal(self, small_geometry):
+        ri = self._ri([5.0], small_geometry)
+        assert np.array_equal(quantize(ri, np.int64(10)).depth, quantize(ri, 10).depth)
 
     @pytest.mark.parametrize("bits", [8, 10, 12])
     def test_half_step_error_bound(self, bits):

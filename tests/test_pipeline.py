@@ -119,6 +119,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             PipelineConfig(**{key: math.inf})
 
+    @pytest.mark.parametrize("key, value", [("bits", 10.5), ("factor_x", 2.0), ("factor_y", 1.0),
+                                            ("width", 2048.0), ("height", 64.0)])
+    def test_rejects_non_integer_setting(self, key, value):
+        # before any scan: 10.5 bits ran and scored a quantizer no codec
+        # has, factor_x 2.0 failed at stage degrade and width 2048.0 at project
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
+            PipelineConfig(**{key: value})
+
+    def test_numpy_integer_settings_are_legal(self):
+        config = small_config(inputs=["synth:0"], method="bilinear", bits=np.int64(10),
+                              factor_x=np.int64(2), width=np.int64(512))
+        report, _ = run_scan("synth:0", config)
+        assert strip_times(report) == strip_times(run_scan("synth:0", small_config(
+            inputs=["synth:0"], method="bilinear", bits=10, factor_x=2, width=512))[0])
+
     def test_infinite_range_max_is_legal(self):
         assert PipelineConfig(range_max=math.inf).range_max == math.inf
 
@@ -471,6 +486,14 @@ class TestSweep:
         assert rows[0]["error"] == ""
         assert rows[1]["error"].startswith("config: require 0 <= range_min < range_max")
         assert calls == ["synth:0"]  # the bad cell prepares no scan
+
+    @pytest.mark.parametrize("key, value", [("bits", 10.5), ("factor_x", 2.0), ("width", 512.0)])
+    def test_non_integer_cell_becomes_config_row(self, key, value, monkeypatch):
+        calls = count_loads(monkeypatch)
+        config = small_config(inputs=["synth:0"], method="bilinear")
+        rows = sweep(config, {key: [value]})
+        assert [row["error"] for row in rows] == [f"config: {key} must be an integer, got {value}"]
+        assert calls == []  # the bad cell prepares no scan
 
     def test_invalid_cell_becomes_row(self):
         config = small_config(inputs=["synth:0"], method="bilinear", factor_x=4)

@@ -59,6 +59,21 @@ class TestGeometryValidation:
             RiGeometry(**fields)
 
 
+    @pytest.mark.parametrize("key, value", [("width", 64.0), ("height", 64.5), ("width", "64")])
+    def test_rejects_non_integer_size(self, key, value):
+        # a float width reached cloud_to_ri and failed there in a numpy cast
+        fields = dict(width=64, height=64, pitch_max=2, pitch_min=-24.8,
+                      min_depth=2, max_depth=120)
+        fields[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
+            RiGeometry(**fields)
+
+    def test_numpy_integer_size_is_legal(self):
+        geom = RiGeometry(width=np.int64(64), height=np.int32(4), pitch_max=2, pitch_min=-24.8,
+                          min_depth=2, max_depth=120)
+        assert cloud_to_ri(PointCloud(points=[[10.0, 0.0, -1.0]]), geom).occupied.sum() == 1
+
+
 class TestRangeImageValidation:
     def test_rejects_wrong_shape(self, small_geometry):
         with pytest.raises(ValueError, match="shape"):

@@ -274,6 +274,27 @@ def test_radius_certifies_nothing_past_the_pole():
     assert window_radius(geometry(16, 4, -10.0, 95.0), WINDOW_ROWS, WINDOW_COLS) < 0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(geom=geometries(), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_index_grid_points_at_each_pixels_point(geom, kind, seed):
+    """Every pixel's _index_grid entry is the index of the ri_to_cloud
+    point on that pixel's centre ray at its depth, each point's index
+    appears once, and the entry is -1 exactly at EMPTY pixels and in the
+    extra row below the image."""
+    for ri in make_pair(seed, kind, geom):
+        index = metrics._index_grid(ri.occupied)
+        points = ri_to_cloud(ri).points
+        assert index.shape == (geom.height + 1, geom.width)
+        assert (index[-1] == -1).all()
+        assert np.array_equal(index[:-1] == -1, ~ri.occupied)
+        assert np.array_equal(np.sort(index[index >= 0]), np.arange(len(points)))
+        v, u = np.nonzero(ri.occupied)
+        yaw, pitch = pixel_center_angles(geom, v, u)
+        ray = np.stack([np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)], 1)
+        expected = ri.depth[v, u, None] * ray
+        assert np.allclose(points[index[v, u]], expected, rtol=1e-12, atol=1e-12)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(geom=geometries().filter(lambda g: g.width >= 2 * WINDOW_COLS + 1),
        seed=st.integers(0, 2**32 - 1))
@@ -284,6 +305,7 @@ def test_window_minima_equal_brute_force(kind, geom, seed):
     the 7 pixels of each point's own row, bit for bit."""
     test, ref = make_pair(seed, kind, geom)
     pa, pb = ri_to_cloud(test).points, ri_to_cloud(ref).points
-    min_a, min_b = metrics._centre_row_minima(test, ref, pa, pb)
+    index_a, index_b = metrics._index_grid(test.occupied), metrics._index_grid(ref.occupied)
+    min_a, min_b = metrics._centre_row_minima(index_a, index_b, pa, pb)
     assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb, rows=0)
     assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa, rows=0)
