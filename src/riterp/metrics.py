@@ -6,13 +6,15 @@ both clouds come from RIs of one geometry: each point climbs one ladder
 of windows around its own pixel (columns wrap at the +-pi seam). Rung 0,
 the point's own row 7 columns wide, is searched densely for both clouds
 at once; rung 1 adds the rows above and below (3 x 7); rungs 2, 3, ...
-widen the window (5 x 15, 9 x 31, ...) for the reference cloud only. A
-rung's minimum is exact when it is below the point's depth times
-window_radius, the sine of the least angle to any ray outside the
-window. Both passes find the point at a pixel through one index grid per
-image (_index_grid: pixel -> point, -1 at EMPTY), built once per call.
-KdTree (scipy's cKDTree) resolves the points still without an answer,
-and every point when the geometries differ.
+widen the window (5 x 15, 9 x 31, ...) while the cloud's own budget of
+pixel visits lasts (LADDER_PASSES for the reference cloud,
+TEST_LADDER_PASSES for the test cloud). A rung's minimum is exact when it
+is below the point's depth times window_radius, the sine of the least
+angle to any ray outside the window. Both passes find the point at a
+pixel through one index grid per image (_index_grid: pixel -> point, -1
+at EMPTY), built once per call. KdTree (scipy's cKDTree, built at its
+first non-empty query) resolves the points still without an answer, and
+every point when the geometries differ.
 """
 from __future__ import annotations
 
@@ -31,9 +33,17 @@ SSIM_L = 1.0  # depths are normalized to [0, 1] before comparison
 
 
 def _window_sums(a: np.ndarray, k: int) -> np.ndarray:
-    """Sliding k x k window sums at every valid position (integral image)."""
+    """Sliding k x k window sums at every valid position (integral image).
+
+    The rows are accumulated with one in-place add per row, then summed
+    along the columns: the additions of cumsum(axis=0) then cumsum(axis=1),
+    in the same order, so the same bits, but faster than cumsum(axis=0)."""
     s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    np.cumsum(np.cumsum(a, axis=0), axis=1, out=s[1:, 1:])
+    rows = s[1:, 1:]
+    rows[...] = a
+    for i in range(1, len(rows)):
+        np.add(rows[i - 1], rows[i], out=rows[i])
+    np.cumsum(rows, axis=-1, out=rows)
     return s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k]
 
 
@@ -78,21 +88,30 @@ def ssim(a: RangeImage, b: RangeImage,
 
 
 class KdTree:
-    """Immutable exact nearest-neighbor index over a point cloud.
+    """Exact nearest-neighbor index over a point cloud, built on demand.
 
-    Backed by scipy's cKDTree with sliding-midpoint splits (Maneewongvatana
-    & Mount 1999), which build faster than median splits and answer the
-    same exact queries, and scipy's default leaves of up to 16 points;
-    distances match a brute-force scan exactly (same float64 arithmetic).
+    The constructor keeps a private copy of the cloud's points, so the
+    index answers for the cloud as it was then. The first query with any
+    point builds scipy's cKDTree over them and later queries reuse it; an
+    empty query builds nothing. The tree uses sliding-midpoint splits
+    (Maneewongvatana & Mount 1999), which build faster than median splits
+    and answer the same exact queries, and scipy's default leaves of up to
+    16 points; distances match a brute-force scan exactly (same float64
+    arithmetic).
     """
 
     def __init__(self, cloud: PointCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
-        self._tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+        self._points = cloud.points.copy()
+        self._tree = None
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-neighbor (distances, indices) for each row of (N, 3) points."""
+        if len(points) == 0:
+            return np.zeros(0), np.zeros(0, dtype=np.intp)
+        if self._tree is None:
+            self._tree = cKDTree(self._points, balanced_tree=False, compact_nodes=False)
         dist, idx = self._tree.query(points, k=1, workers=1)
         return np.atleast_1d(dist), np.atleast_1d(idx)
 
@@ -106,6 +125,11 @@ WINDOW_COLS = 3
 #: in all than this many passes over the image: about the cost of building
 #: that tree
 LADDER_PASSES = 4
+#: the test cloud's budget, in the same passes: enough for the few points
+#: near a gradient fill's border, and less than the 5 x 15 rung charges for
+#: the thousand or more mid-air points a baseline leaves, so that such a
+#: ladder gives up at once and leaves them to the reference's k-d tree
+TEST_LADDER_PASSES = 0.5
 #: rows per band of the centre-row pass, which bounds its scratch arrays
 #: (and the ladder's chunks, to as many pixels)
 _BAND_ROWS = 8
@@ -280,13 +304,15 @@ def nn_distances(
     `ris`, the range images that a and b were reconstructed from with
     ri_to_cloud, lets the window ladder settle most points when they share
     a geometry at least 2 WINDOW_COLS + 1 wide: one _centre_row_minima
-    pass serves both clouds, then each cloud climbs its own _ladder, a's
-    up to the 3 x 7 window and b's on through widening windows for up to
-    LADDER_PASSES passes. The k-d trees resolve the points left, and every
-    point when the ladder does not apply. `tree_b`, a KdTree already built
-    over b, is used instead of building one and is queried even with no
-    point left; a tree over a is built only if some point of b is left
-    after the ladder.
+    pass serves both clouds, then each cloud climbs its own _ladder on
+    through widening windows, a's (the test cloud's) for up to
+    TEST_LADDER_PASSES passes and b's for up to LADDER_PASSES. The k-d
+    trees resolve the points left, and every point when the ladder does
+    not apply. `tree_b`, a KdTree over b made beforehand, is used instead
+    of making one and is queried even with no point left; since a KdTree
+    builds its tree at its first non-empty query, no tree over b is built
+    when every point of a is certified. A KdTree over a is made only if
+    some point of b is left after the ladder.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
@@ -294,7 +320,7 @@ def nn_distances(
     if g is not None and g == ris[1].geometry and g.width >= 2 * WINDOW_COLS + 1:
         index_a, index_b = _index_grid(ris[0].occupied), _index_grid(ris[1].occupied)
         min_a, min_b = _centre_row_minima(index_a, index_b, a.points, b.points)
-        d_ab, left_a = _ladder(ris[0], a.points, min_a, (index_b, b.points), 0)
+        d_ab, left_a = _ladder(ris[0], a.points, min_a, (index_b, b.points), TEST_LADDER_PASSES)
         d_ba, left_b = _ladder(ris[1], b.points, min_b, (index_a, a.points), LADDER_PASSES)
         n_fallback = left_a + left_b
     else:

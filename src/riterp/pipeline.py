@@ -11,11 +11,12 @@ cloud reconstructed from the reference RI (which contains every source
 point the degraded image kept, when quantization is off).
 
 prepare_scan runs the stages that no degradation or interpolation setting
-changes (through the reference RI, its cloud, its k-d tree and its half
-of SSIM) once per scan; evaluate runs the rest for one config, so sweep
-cells share them. STAGE_FIELDS says which config fields each stage reads:
-prefix_key and cell_key are read from it, and a sweep evaluates each
-distinct cell of a scan once.
+changes (through the reference RI, its cloud, its k-d tree index and its
+half of SSIM) once per scan; evaluate runs the rest for one config, so
+sweep cells share them. The index builds its tree in the first cell that
+queries it, if any does. STAGE_FIELDS says which config fields each
+stage reads: prefix_key and cell_key are read from it, and a sweep
+evaluates each distinct cell of a scan once.
 """
 from __future__ import annotations
 
@@ -221,7 +222,11 @@ def _stage(timings: dict[str, float], stage: str):
 
 @dataclass
 class ScanContext:
-    """One scan's cell-independent prefix, built by prepare_scan."""
+    """One scan's cell-independent prefix, built by prepare_scan.
+
+    ref_tree builds its k-d tree at its first query with points, so the
+    first cell that leaves a test point to it pays for the build in its
+    score time, and the later cells reuse it."""
 
     spec: str
     key: tuple
@@ -237,10 +242,11 @@ class ScanContext:
 
 
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
-    """Run ingest, filter and project on one input, and build the
-    reference cloud, its k-d tree and its SSIM terms. Raises StageError
-    with the failing stage's name; the reference cloud counts as
-    reconstruct time, the tree and the SSIM terms as score time."""
+    """Run ingest, filter and project on one input, and make the
+    reference cloud, its KdTree (whose tree is built later, when first
+    queried) and its SSIM terms. Raises StageError with the failing
+    stage's name; the reference cloud counts as reconstruct time, the
+    KdTree and the SSIM terms as score time."""
     timings: dict[str, float] = {}
     with _stage(timings, "ingest"):
         cloud = load_scan(spec)

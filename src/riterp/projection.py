@@ -208,7 +208,7 @@ def load_ri(path: str | Path) -> RangeImage:
                 raise ValueError(f"{path}: RI archive has no key {key!r}")
         try:
             geom = RiGeometry(
-                width=int(data["width"]), height=int(data["height"]),
+                width=data["width"].item(), height=data["height"].item(),
                 pitch_max=float(data["pitch_max"]), pitch_min=float(data["pitch_min"]),
                 min_depth=float(data["min_depth"]), max_depth=float(data["max_depth"]),
             )

@@ -35,21 +35,24 @@ def _ground_hits(dirs: np.ndarray) -> np.ndarray:
 
 
 def _box_hits(dirs: np.ndarray, bmin: np.ndarray, bmax: np.ndarray) -> np.ndarray:
-    """Slab-method entry distance per ray for one axis-aligned box."""
+    """Slab-method entry distance per ray for one axis-aligned box: the
+    largest slab entry, where it is positive and no later than the
+    smallest slab exit, else inf. The slabs are taken one axis at a time
+    over the (N,) columns of dirs."""
+    tmin = np.full(len(dirs), -np.inf)
+    tmax = np.full(len(dirs), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = bmin[None, :] / dirs
-        t2 = bmax[None, :] / dirs
-    lo = np.fmin(t1, t2)
-    hi = np.fmax(t1, t2)
-    # axis-parallel rays: the slab constrains nothing if the origin is inside it
-    parallel = dirs == 0
-    inside = (0.0 >= bmin[None, :]) & (0.0 <= bmax[None, :])
-    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
-    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
-    tmin = lo.max(axis=1)
-    tmax = hi.min(axis=1)
-    t = np.where((tmax >= tmin) & (tmin > 0), tmin, np.inf)
-    return t
+        for d, lo_b, hi_b in zip(dirs.T, bmin, bmax):
+            t1, t2 = lo_b / d, hi_b / d
+            lo, hi = np.fmin(t1, t2), np.fmax(t1, t2)
+            # axis-parallel rays: the slab constrains nothing if the origin is inside it
+            parallel = d == 0
+            if parallel.any():
+                inside = lo_b <= 0.0 <= hi_b
+                lo[parallel], hi[parallel] = (-np.inf, np.inf) if inside else (np.inf, -np.inf)
+            np.maximum(tmin, lo, out=tmin)
+            np.minimum(tmax, hi, out=tmax)
+    return np.where((tmax >= tmin) & (tmin > 0), tmin, np.inf)
 
 
 def _wrap(angle: np.ndarray) -> np.ndarray:

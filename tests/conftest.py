@@ -43,17 +43,17 @@ def random_ri(rng, geom: RiGeometry, empty_fraction: float = 0.3) -> RangeImage:
     return RangeImage(geom, depth)
 
 
-def count_test_trees(monkeypatch) -> list[int]:
-    """Record the size of every cloud metrics builds a KdTree over itself
-    (nn_distances' test-cloud tree; a tree passed in is not counted)."""
+def count_builds(monkeypatch) -> list[np.ndarray]:
+    """Record the points of every scipy cKDTree that metrics builds; a
+    KdTree builds one only at its first query with points."""
     built = []
+    real = metrics.cKDTree
 
-    class Counting(metrics.KdTree):
-        def __init__(self, cloud):
-            built.append(len(cloud))
-            super().__init__(cloud)
+    def counting(points, *args, **kwargs):
+        built.append(points)
+        return real(points, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "KdTree", Counting)
+    monkeypatch.setattr(metrics, "cKDTree", counting)
     return built
 
 

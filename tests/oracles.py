@@ -125,6 +125,21 @@ def brute_window_minima(occupied_a: np.ndarray, pa: np.ndarray, occupied_b: np.n
     return out
 
 
+def brute_box_hit(d, bmin, bmax) -> float:
+    """Entry distance t > 0 of the ray t * d into the box [bmin, bmax], or
+    inf, by the slab method one axis at a time: a ray parallel to an axis
+    misses unless the origin lies within that axis's slab."""
+    t_in, t_out = -math.inf, math.inf
+    for di, lo, hi in zip(d, bmin, bmax):
+        if di == 0:
+            if not lo <= 0.0 <= hi:
+                return math.inf
+            continue
+        t1, t2 = lo / di, hi / di
+        t_in, t_out = max(t_in, min(t1, t2)), min(t_out, max(t1, t2))
+    return t_in if t_out >= t_in and t_in > 0 else math.inf
+
+
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (brute_nn_dists(a, b).mean() + brute_nn_dists(b, a).mean())
 

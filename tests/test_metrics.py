@@ -15,7 +15,7 @@ from riterp import (
 from riterp import metrics
 from riterp.metrics import nn_distances, noise_split
 
-from conftest import random_ri
+from conftest import count_builds, random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
 
 GEOM_16 = RiGeometry(width=16, height=16, pitch_max=2, pitch_min=-24.8,
@@ -30,6 +30,15 @@ def ri_from(grid):
 
 
 class TestSsim:
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 17), (16, 16), (64, 2048), (33, 10)])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_window_sums_equal_the_double_cumsum_integral_image(self, shape, k):
+        a = np.random.default_rng(shape[0] * shape[1] + k).normal(0, 50, shape)
+        s = np.zeros((shape[0] + 1, shape[1] + 1))
+        np.cumsum(np.cumsum(a, axis=0), axis=1, out=s[1:, 1:])
+        expected = s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k]
+        assert metrics._window_sums(a, k).tobytes() == expected.tobytes()
+
     def test_self_score_is_exactly_one(self):
         rng = np.random.default_rng(0)
         ri = random_ri(rng, GEOM_16)
@@ -102,6 +111,33 @@ class TestKdTree:
         tree = KdTree(cloud)
         dist, _ = tree.query(np.array([[1.0, 1.0, 1.0]]))
         assert dist[0] == 0.0
+
+    def test_empty_queries_build_nothing(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        tree = KdTree(PointCloud(points=[[1.0, 2.0, 3.0]]))
+        for _ in range(2):
+            dist, idx = tree.query(np.zeros((0, 3)))
+            assert dist.shape == idx.shape == (0,)
+        assert not built
+
+    def test_first_query_with_points_builds_once(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        tree = KdTree(PointCloud(points=[[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+        assert tree.query(np.array([[1.0, 0.0, 0.0]]))[0].tolist() == [1.0]
+        assert tree.query(np.zeros((0, 3)))[0].size == 0
+        assert tree.query(np.array([[2.5, 0.0, 0.0]]))[0].tolist() == [0.5]
+        assert len(built) == 1
+
+    def test_answers_for_the_cloud_as_it_was_made(self):
+        rng = np.random.default_rng(17)
+        points = rng.uniform(-10, 10, size=(200, 3))
+        queries = rng.uniform(-12, 12, size=(50, 3))
+        cloud = PointCloud(points=points.copy())
+        tree = KdTree(cloud)
+        cloud.points += 100.0  # before the tree is built
+        assert np.array_equal(tree.query(queries)[0], brute_nn_dists(queries, points))
+        cloud.points[:] = 0.0  # after
+        assert np.array_equal(tree.query(queries)[0], brute_nn_dists(queries, points))
 
     def test_distances_equal_brute_force(self):
         rng = np.random.default_rng(7)

@@ -46,7 +46,7 @@ from riterp.pipeline import (
     upscale_ri,
 )
 
-from conftest import count_test_trees, ladder_left
+from conftest import count_builds, ladder_left
 
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
 
@@ -290,12 +290,24 @@ class TestRunScan:
     @pytest.mark.parametrize("method", ["gradient", "bilinear"])
     def test_no_test_cloud_tree_on_a_synth_scan(self, method, monkeypatch):
         """The widening window certifies every reference point the 3 x 7
-        window leaves, so scoring builds no k-d tree over the test cloud."""
-        built = count_test_trees(monkeypatch)
+        window leaves, so scoring builds no k-d tree over the test cloud:
+        only the reference's, for the test points left."""
+        built = count_builds(monkeypatch)
         config = PipelineConfig(inputs=["synth:0"], method=method, no_artifacts=True)
+        report, artifacts = run_scan("synth:0", config)
+        assert len(built) == 1 and np.array_equal(built[0], artifacts["ref_cloud"][0].points)
+        assert 0 < report["nn_tree_points"] < report["nn_fallback_points"]
+
+    def test_exact_gradient_scan_builds_no_tree(self, monkeypatch):
+        """At threshold 0.8 every gradient fill lies within the test
+        cloud's ladder budget of a reference point, and every reference
+        point within the reference's, so no k-d tree is built."""
+        built = count_builds(monkeypatch)
+        config = PipelineConfig(inputs=["synth:0"], method="gradient", grad_threshold=0.8,
+                                no_artifacts=True)
         report, _ = run_scan("synth:0", config)
         assert not built
-        assert 0 < report["nn_tree_points"] < report["nn_fallback_points"]
+        assert report["nn_tree_points"] == 0 < report["nn_fallback_points"]
 
     def test_evaluate_rejects_context_of_other_prefix(self):
         ctx = prepare_scan("synth:0", small_config(inputs=["synth:0"]))
@@ -528,6 +540,18 @@ class TestSweep:
                               "grad_threshold": [1.0, 2.5]})
         assert len(rows) == 16 and not any(row["error"] for row in rows)
         assert sorted(calls) == ["synth:0", "synth:0", "synth:1", "synth:1"]
+
+    def test_one_reference_tree_per_scan(self, monkeypatch):
+        """Each scan's reference tree is built once, in its first cell that
+        leaves a test point to it: the gradient cells at threshold 0.8
+        leave none, the bilinear cells after them share one build."""
+        config = PipelineConfig(inputs=["synth:0", "synth:1"], grad_threshold=0.8, no_artifacts=True)
+        refs = [prepare_scan(spec, config).ref_cloud.points for spec in config.inputs]
+        built = count_builds(monkeypatch)
+        rows = sweep(config, {"method": ["gradient", "bilinear"], "bits": [None, 10]})
+        assert not any(row["error"] for row in rows)
+        assert all((row["nn_tree_points"] > 0) == (row["method"] == "bilinear") for row in rows)
+        assert len(built) == len(refs) and all(map(np.array_equal, built, refs))
 
     def test_reused_stages_read_zero(self):
         config = small_config(inputs=["synth:0", "synth:1"])

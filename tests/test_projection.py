@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,18 @@ class TestRiFiles:
         with pytest.raises(ValueError) as err:
             load_ri(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_non_integer_archived_size_names_the_file_and_key(self, tmp_path, small_geometry, key):
+        # int() would truncate 16.7 x 4.2 to a 16 x 4 image
+        path = tmp_path / "ri.npz"
+        save_ri(RangeImage(small_geometry, np.zeros((4, 16))), path)
+        with np.load(path) as data:
+            kept = dict(data)
+        np.savez(path, **{**kept, key: {"width": 16.7, "height": 4.2}[key]})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be an integer") as err:
+            load_ri(path)
+        assert "\n" not in str(err.value)
 
     def test_pgm_format(self, tmp_path, small_geometry):
         grid = np.zeros((4, 16))

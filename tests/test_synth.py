@@ -6,6 +6,8 @@ import pytest
 from riterp import KITTI_GEOMETRY, RiGeometry, cloud_to_ri, occupancy, synth_scene
 from riterp import synth
 
+from oracles import brute_box_hit
+
 SMALL_GEOMETRY = RiGeometry(width=256, height=16, pitch_max=2.0, pitch_min=-24.8,
                             min_depth=2.0, max_depth=120.0)
 
@@ -74,6 +76,19 @@ class TestBoxCulling:
         dirs = synth._ray_directions(geom)
         for bmin, bmax in boxes:
             assert np.array_equal(culled_hits(geom, dirs, bmin, bmax), synth._box_hits(dirs, bmin, bmax))
+
+    def test_box_hits_equal_a_per_ray_slab_test(self):
+        # rays and box faces on the axes take the parallel-ray branch
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            dirs = rng.normal(size=(200, 3))
+            dirs[rng.random(dirs.shape) < 0.3] = 0.0
+            bmin = rng.uniform(-3.0, 1.0, 3)
+            bmax = bmin + rng.uniform(0.0, 4.0, 3)
+            bmin[rng.random(3) < 0.2] = 0.0
+            bmax = np.maximum(bmin, np.where(rng.random(3) < 0.2, 0.0, bmax))
+            expected = [brute_box_hit(d, bmin, bmax) for d in dirs]
+            assert synth._box_hits(dirs, bmin, bmax).tolist() == expected
 
     @GEOMETRIES
     def test_box_across_the_seam(self, geom):

@@ -5,8 +5,9 @@ be the one a default-built cKDTree gives with every point queried, bit
 for bit; the certificate (window_radius) must never exceed the true
 distance to a point outside any rung's window, and must not be so loose
 that a neighbour one pixel away goes uncertified. The counts of points
-left to the k-d trees follow from the exact distances, and the tree over
-the test cloud is built only when the reference cloud's ladder gives up.
+left to the k-d trees follow from the exact distances and the two
+clouds' ladder budgets, and the tree over either cloud is built only
+when the other cloud's ladder gives up.
 """
 import math
 
@@ -26,10 +27,10 @@ from riterp import (
     upscale_baseline,
 )
 from riterp import metrics
-from riterp.metrics import LADDER_PASSES, WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, window_radius
+from riterp.metrics import WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, window_radius
 from riterp.projection import pixel_center_angles
 
-from conftest import count_test_trees, ladder_left
+from conftest import count_builds, ladder_left
 from oracles import brute_window_minima
 
 WIDTHS = (2, 6, 7, 8, 16, 2048)
@@ -104,18 +105,18 @@ def make_pair(seed: int, kind: str, geom: RiGeometry) -> tuple[RangeImage, Range
 def assert_equals_ckdtree(test: RangeImage, ref: RangeImage) -> None:
     """nn_distances equals cKDTree bit for bit; the points left to the k-d
     trees are those whose exact distance the 3 x 7 window cannot certify,
-    less those the reference cloud's ladder resolves within its budget."""
+    less those each cloud's ladder resolves within its own budget."""
     a, b = ri_to_cloud(test), ri_to_cloud(ref)
     d_ab, d_ba, fallback, in_tree = nn_distances(a, b, ris=(test, ref))
     exact_ab = cKDTree(b.points).query(a.points)[0]
     exact_ba = cKDTree(a.points).query(b.points)[0]
     assert np.array_equal(d_ab, exact_ab)
     assert np.array_equal(d_ba, exact_ba)
-    left_a, _ = ladder_left(test, exact_ab, 0)
-    left_b, after_b = ladder_left(ref, exact_ba, LADDER_PASSES)
+    left_a, after_a = ladder_left(test, exact_ab, metrics.TEST_LADDER_PASSES)
+    left_b, after_b = ladder_left(ref, exact_ba, metrics.LADDER_PASSES)
     certified = len(a) - left_a + len(b) - left_b
     assert certified + fallback == len(a) + len(b)
-    assert in_tree == left_a + after_b <= fallback
+    assert in_tree == after_a + after_b <= fallback
 
 
 @st.composite
@@ -133,6 +134,9 @@ def geometries(draw) -> RiGeometry:
 @example(geom=geometry(2048, 3, -24.8, 2.0), kind="seam", seed=0)
 @example(geom=geometry(16, 2, -89.0, 89.0), kind="jittered", seed=1)
 @example(geom=geometry(8, 4, 80.0, 89.0), kind="independent", seed=2)
+# test points that only the test cloud's ladder past the 3 x 7 window certifies
+@example(geom=geometry(2048, 4, -24.8, 2.0), kind="jittered", seed=5)
+@example(geom=geometry(16, 12, -24.8, 2.0), kind="hole", seed=1)
 def test_window_search_equals_ckdtree(geom, kind, seed):
     assert_equals_ckdtree(*make_pair(seed, kind, geom))
 
@@ -147,49 +151,62 @@ def test_nearest_point_across_the_seam():
     assert_equals_ckdtree(RangeImage(geom, test), RangeImage(geom, ref))
 
 
-def hole_at_the_seam() -> tuple[RangeImage, RangeImage]:
-    """A constant-depth reference seen through a test image that is EMPTY
-    over rows 16-28 and columns -10..6: the reference points in the hole
-    have their nearest test points up to 10 columns away, and those in
-    columns -1 and -2 across the seam."""
+def hole_at_the_seam(holed: str) -> tuple[RangeImage, RangeImage]:
+    """(test, reference) images of one constant-depth surface, the `holed`
+    one EMPTY over rows 16-28 and columns -10..6: the other image's points
+    in the hole have their nearest neighbours up to 10 columns away, and
+    those in columns -1 and -2 across the seam."""
     geom = KITTI_GEOMETRY
-    ref = np.full((geom.height, geom.width), 30.0)
-    test = ref.copy()
-    test[16:29, -10:] = test[16:29, :7] = 0.0
+    full = np.full((geom.height, geom.width), 30.0)
+    hole = full.copy()
+    hole[16:29, -10:] = hole[16:29, :7] = 0.0
+    test, ref = (hole, full) if holed == "test" else (full, hole)
     return RangeImage(geom, test), RangeImage(geom, ref)
 
 
-def test_ladder_resolves_a_hole_across_the_seam(monkeypatch):
-    test, ref = hole_at_the_seam()
+@pytest.mark.parametrize("holed", ["test", "reference"])
+def test_ladder_resolves_a_hole_across_the_seam(holed, monkeypatch):
+    """Either cloud's ladder, within its own budget, certifies its points
+    around a hole in the other image, so no k-d tree is built."""
+    test, ref = hole_at_the_seam(holed)
     assert_equals_ckdtree(test, ref)
     a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    built = count_test_trees(monkeypatch)
-    _, _, fallback, in_tree = nn_distances(a, b, KdTree(b), (test, ref))
+    tree_b = KdTree(b)
+    built = count_builds(monkeypatch)
+    _, _, fallback, in_tree = nn_distances(a, b, tree_b, (test, ref))
     assert fallback > 100 and in_tree == 0 and not built
 
 
+@pytest.mark.parametrize("side", ["reference", "test"])
 @pytest.mark.parametrize("rung", [2, 3, 4])
-def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, monkeypatch):
-    """A reference point whose one test neighbour is as many rows off as
-    rung k reaches, past the 3 x 7 window, is certified by rung k when the
-    budget holds exactly rungs 2..k, and left to the k-d tree over the
-    test cloud when the budget is one pixel short. The test point, out of
-    its own 3 x 7 window's reach, goes to the reference tree either way."""
+def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, side, monkeypatch):
+    """One reference and one test point, as many rows apart as rung k
+    reaches, past the 3 x 7 window. The `side` cloud's point is certified
+    by rung k when its own budget holds exactly rungs 2..k, and left to
+    the k-d tree over the other cloud when that budget is one pixel short.
+    The other point, whose cloud gets no budget, goes to the k-d tree over
+    the side's cloud either way."""
     geom = KITTI_GEOMETRY
     ref = np.zeros((geom.height, geom.width))
     test = ref.copy()
     ref[10, 100] = test[10 + RUNGS[rung][0], 100] = 40.0
     a, b = RangeImage(geom, test), RangeImage(geom, ref)
     ca, cb = ri_to_cloud(a), ri_to_cloud(b)
+    exact = cKDTree(ca.points).query(cb.points)[0][0]
     pixels = sum((2 * rows + 1) * (2 * cols + 1) for rows, cols in RUNGS[2:rung + 1])
+    budget, own = ("LADDER_PASSES", cb) if side == "reference" else ("TEST_LADDER_PASSES", ca)
     for slack, certified in ((0.5, True), (-0.5, False)):
-        monkeypatch.setattr(metrics, "LADDER_PASSES", (pixels + slack) / (geom.height * geom.width))
+        monkeypatch.setattr(metrics, "LADDER_PASSES", 0)
+        monkeypatch.setattr(metrics, "TEST_LADDER_PASSES", 0)
+        monkeypatch.setattr(metrics, budget, (pixels + slack) / (geom.height * geom.width))
         with pytest.MonkeyPatch.context() as trees:
-            built = count_test_trees(trees)
-            _, d_ba, fallback, in_tree = nn_distances(ca, cb, ris=(a, b))
-        assert d_ba[0] == cKDTree(ca.points).query(cb.points)[0][0]
+            built = count_builds(trees)
+            d_ab, d_ba, fallback, in_tree = nn_distances(ca, cb, ris=(a, b))
+        assert d_ab[0] == d_ba[0] == exact
         assert fallback == 2
-        assert (in_tree, built) == ((1, [len(cb)]) if certified else (2, [len(cb), len(ca)]))
+        assert in_tree == (1 if certified else 2)
+        expected = [own] if certified else [cb, ca]  # the tree over b is queried first
+        assert [p.tolist() for p in built] == [c.points.tolist() for c in expected]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -197,16 +214,25 @@ def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 @example(geom=geometry(2048, 4, -24.8, 2.0), kind="sparse", seed=0)
 @example(geom=geometry(2048, 4, -24.8, 2.0), kind="hole", seed=3)
-def test_test_tree_is_built_only_when_the_ladder_gives_up(geom, kind, seed):
+def test_trees_are_built_only_when_the_ladders_give_up(geom, kind, seed):
+    """The given KdTree over the reference builds its tree only when some
+    test point is left after the test cloud's ladder, and a tree over the
+    test cloud is built only when some reference point is left after the
+    reference cloud's ladder."""
     test, ref = make_pair(seed, kind, geom)
     a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    _, left = ladder_left(ref, cKDTree(a.points).query(b.points)[0], LADDER_PASSES)
+    exact_ab = cKDTree(b.points).query(a.points)[0]
+    exact_ba = cKDTree(a.points).query(b.points)[0]
+    _, after_a = ladder_left(test, exact_ab, metrics.TEST_LADDER_PASSES)
+    _, after_b = ladder_left(ref, exact_ba, metrics.LADDER_PASSES)
+    tree_b = KdTree(b)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        built = count_test_trees(monkeypatch)
-        _, d_ba, _, in_tree = nn_distances(a, b, KdTree(b), (test, ref))
-    assert built == ([len(a)] if left else [])
-    assert np.array_equal(d_ba, cKDTree(a.points).query(b.points)[0])
-    assert in_tree >= left
+        built = count_builds(monkeypatch)
+        d_ab, d_ba, _, in_tree = nn_distances(a, b, tree_b, (test, ref))
+    expected = [b] * (after_a > 0) + [a] * (after_b > 0)
+    assert [p.tolist() for p in built] == [c.points.tolist() for c in expected]
+    assert np.array_equal(d_ab, exact_ab) and np.array_equal(d_ba, exact_ba)
+    assert in_tree == after_a + after_b
 
 
 def test_different_geometries_fall_back_to_the_tree():
