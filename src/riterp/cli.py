@@ -8,7 +8,8 @@ its type and default from the field, so PipelineConfig is the one place
 a default is written. pipeline and sweep have a flag for every field but
 inputs, and a key=value config file can supply any of them, with the
 command line taking precedence. sweep takes one or more values for
-method, policy and grad_threshold, and runs their grid.
+method, policy and grad_threshold, and runs their grid; pipeline is the
+sweep of one cell. Both write per-cell artifacts unless --no-artifacts.
 """
 from __future__ import annotations
 
@@ -215,10 +216,9 @@ def _cmd_sweep(args) -> int:
     grid = {name: getattr(args, name) for name in _SWEPT if isinstance(getattr(args, name), list)}
     if "policy_order" in grid:
         grid["policy_order"] = [_POLICY_NAMES[p] for p in grid["policy_order"]]
+    path = Path(base.out_dir) / f"sweep.{base.report_format}"
+    path.parent.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails before any scan
     rows = sweep(base, grid)
-    out = Path(base.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep.{base.report_format}"
     write_report(rows, path)
     errors = sum(1 for row in rows if row.get("error"))
     print(f"wrote {path} ({len(rows)} rows, {errors} errors)")

@@ -16,7 +16,8 @@ half of SSIM) once per scan; evaluate runs the rest for one config, so
 sweep cells share them. The index builds its tree in the first cell that
 queries it, if any does. STAGE_FIELDS says which config fields each
 stage reads: prefix_key and cell_key are read from it, and a sweep
-evaluates each distinct cell of a scan once.
+evaluates each distinct cell of a scan once. sweep is the one loop over
+scans: run_pipeline is the sweep of one cell, plus its report.
 """
 from __future__ import annotations
 
@@ -348,16 +349,9 @@ def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
     return evaluate(prepare_scan(spec, config), config)
 
 
-def _scan_label(spec: str) -> str:
-    if spec.startswith("synth:"):
-        return f"synth_{spec.split(':', 1)[1]}"
-    return Path(spec).stem
-
-
-def write_artifacts(spec: str, artifacts: dict, out_dir: Path) -> None:
+def write_artifacts(label: str, artifacts: dict, out_dir: Path) -> None:
     """PGM views of every RI stage and PLY clouds with interpolated points
-    colored for visual inspection."""
-    label = _scan_label(spec)
+    colored for visual inspection, as <label>_<name>.pgm/.ply in out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("reference", "degraded", "upscaled"):
         ri = artifacts[name]
@@ -369,42 +363,26 @@ def write_artifacts(spec: str, artifacts: dict, out_dir: Path) -> None:
 
 
 def run_pipeline(config: PipelineConfig) -> list[dict]:
-    """Run every configured input; write reports and artifacts.
+    """Sweep every configured input as one cell; write the report.
 
     A failing scan is reported on stderr with the failing stage and does
     not stop the other scans. Raises RuntimeError at the end if any scan
     failed; with no inputs it writes an empty report and returns [].
-    Raises ValueError before any scan runs if two inputs would write the
-    same artifact files.
+    A repeated input gives a copied row, as in sweep.
     """
-    if not config.no_artifacts:
-        labels: dict[str, str] = {}
-        for spec in sorted(config.inputs):
-            label = _scan_label(spec)
-            if label in labels:
-                raise ValueError(f"inputs {labels[label]} and {spec} would write the same "
-                                 f"artifact files {label}_*; rename one or turn artifacts off")
-            labels[label] = spec
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    failures = []
-    for spec in sorted(config.inputs):
-        try:
-            report, artifacts = run_scan(spec, config)
-        except StageError as err:
-            failures.append((spec, err))
-            print(f"error: scan {spec}: {err}", file=sys.stderr)
-            continue
-        reports.append(report)
-        if not config.no_artifacts:
-            write_artifacts(spec, artifacts, out_dir)
-
-    write_report(reports, out_dir / f"report.{config.report_format}")
-
-    if failures:
-        failed = ", ".join(spec for spec, _ in failures)
-        raise RuntimeError(f"{len(failures)} scan(s) failed: {failed}")
+    if config.no_artifacts:  # else sweep makes it, after its artifact name check
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    reports, failed = [], []
+    for row in sweep(config, {}):
+        error = row.pop("error")
+        if error:
+            print(f"error: scan {row['input']}: {error}", file=sys.stderr)
+            failed.append(row["input"])
+        else:
+            reports.append(row)
+    write_report(reports, Path(config.out_dir) / f"report.{config.report_format}")
+    if failed:
+        raise RuntimeError(f"{len(failed)} scan(s) failed: {', '.join(failed)}")
     return reports
 
 
@@ -427,30 +405,33 @@ def _error_row(config: PipelineConfig, spec: str, error: str, overrides: dict | 
     return {**config.echo(), **(overrides or {}), "input": spec, "error": error}
 
 
-def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig]], rows: list) -> None:
-    """Fill rows[index] for every (index, spec, cell) job of one prefix
-    group from a single prepared scan. Only the first job of each cell_key
-    is evaluated; a later one gets a new dict: that row with its own
-    config echo and every time_*_ms at 0.0."""
-    _, spec, first = jobs[0]
+def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) -> None:
+    """Fill rows[index] for every (index, spec, cell, label) job of one
+    prefix group from a single prepared scan. Only the first job of each
+    cell_key is evaluated and writes artifacts; a later one gets a new
+    dict: that row with its own config echo and every time_*_ms at 0.0."""
+    _, spec, first, _ = jobs[0]
     try:
         ctx = prepare_scan(spec, first)
     except StageError as err:
-        for index, spec, cell in jobs:
+        for index, spec, cell, _ in jobs:
             rows[index] = _error_row(cell, spec, str(err))
         return
     evaluated: dict[tuple, dict] = {}
-    for index, spec, cell in jobs:
+    for index, spec, cell, label in jobs:
         key = cell_key(cell)
         row = evaluated.get(key)
         if row is not None:
             rows[index] = {**row, **cell.echo(), **{k: 0.0 for k in row if k.startswith("time_")}}
             continue
         try:
-            row, _ = evaluate(ctx, cell)
+            row, artifacts = evaluate(ctx, cell)
             row["error"] = ""
         except StageError as err:
             row = _error_row(cell, spec, str(err))
+        else:
+            if not cell.no_artifacts:
+                write_artifacts(label, artifacts, Path(cell.out_dir))
         rows[index] = evaluated[key] = row
 
 
@@ -467,12 +448,18 @@ def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
     its row with their own config echo, and every time_*_ms of a copy
     reads 0.0 ("reused, not run again"). Failures become rows with an
     'error' column and the sweep continues.
+
+    Unless no_artifacts is set, an evaluated row writes its artifacts as
+    <scan>[_<grid value>...]_<name>, e.g. synth_0_gradient_2.5_upscaled.pgm,
+    and a copy none; inputs that would write the same files raise
+    ValueError before any scan.
     """
     for name in grid:
         if name not in {f.name for f in fields(config)}:
             raise ValueError(f"unknown config field in grid: {name!r}")
+    labels: dict[str, str] = {}
     rows: list[dict | None] = []
-    groups: dict[tuple, list[tuple[int, str, PipelineConfig]]] = {}
+    groups: dict[tuple, list[tuple[int, str, PipelineConfig, str]]] = {}
     names = list(grid)
     for values in itertools.product(*(grid[n] for n in names)):
         overrides = dict(zip(names, values))
@@ -484,8 +471,15 @@ def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
                 rows.append(_error_row(config, spec, f"config: {err}", overrides))
             continue
         for spec in sorted(cell.inputs):
-            groups.setdefault(prefix_key(spec, cell), []).append((len(rows), spec, cell))
+            scan = spec.replace(":", "_", 1) if spec.startswith("synth:") else Path(spec).stem
+            label = "_".join([scan, *map(str, values)])
+            if not cell.no_artifacts and labels.setdefault(label, spec) != spec:
+                raise ValueError(f"inputs {labels[label]} and {spec} would write the same "
+                                 f"artifact files {label}_*; rename one or turn artifacts off")
+            groups.setdefault(prefix_key(spec, cell), []).append((len(rows), spec, cell, label))
             rows.append(None)
+    if not config.no_artifacts:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     for jobs in groups.values():
         _sweep_scan(jobs, rows)
     return rows

@@ -404,6 +404,24 @@ class TestRunPipeline:
         config = small_config(inputs=specs, out_dir=str(tmp_path / "run"))
         assert len(run_pipeline(config)) == 2
 
+    def test_rows_have_the_keys_of_a_scan_report(self, tmp_path):
+        config = small_config(inputs=["synth:0"], out_dir=str(tmp_path / "run"))
+        reports = run_pipeline(config)
+        fresh, _ = run_scan("synth:0", config)
+        assert [list(report) for report in reports] == [list(fresh)]
+        assert strip_times(reports[0]) == strip_times(fresh)
+
+    @pytest.mark.parametrize("no_artifacts", [True, False])
+    def test_repeated_input_gives_a_copied_row(self, tmp_path, no_artifacts):
+        out = tmp_path / "run"
+        config = small_config(inputs=["synth:0", "synth:0"], out_dir=str(out),
+                              no_artifacts=no_artifacts)
+        first, second = run_pipeline(config)
+        assert strip_times(second) == strip_times(first) and second is not first
+        assert not is_copy(first) and is_copy(second)
+        # the copy writes no artifacts, so the repeat clashes with nothing
+        assert len(list(out.glob("synth_0_*"))) == (0 if no_artifacts else 5)
+
 
 #: sweep-synth's grid: each bilinear cell appears at two thresholds
 SYNTH_GRID = {"method": ["bilinear", "gradient"], "bits": [None, 10], "grad_threshold": [0.8, 2.5]}
@@ -605,6 +623,36 @@ class TestSweep:
         for row in rows:
             assert "stage 'project'" in row["error"] and spec in row["error"]
 
+    def test_writes_artifacts_per_evaluated_cell(self, tmp_path):
+        out = tmp_path / "out"
+        config = small_config(inputs=["synth:0"], out_dir=str(out), no_artifacts=False)
+        rows = sweep(config, {"method": ["bilinear", "gradient"], "grad_threshold": [0.8, 2.5]})
+        assert [is_copy(row) for row in rows] == [False, True, False, False]  # bilinear at 2.5
+        names = ("reference.pgm", "degraded.pgm", "upscaled.pgm", "ref_cloud.ply", "test_cloud.ply")
+        labels = ("synth_0_bilinear_0.8", "synth_0_gradient_0.8", "synth_0_gradient_2.5")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{label}_{name}" for label in labels for name in names)
+        # each set is the one a pipeline run of that cell writes
+        single = tmp_path / "single"
+        run_pipeline(replace(config, method="gradient", grad_threshold=2.5, out_dir=str(single)))
+        for name in names:
+            assert (out / f"synth_0_gradient_2.5_{name}").read_bytes() == (
+                single / f"synth_0_{name}").read_bytes()
+
+    def test_no_artifacts_creates_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        rows = sweep(small_config(inputs=["synth:0"], out_dir=str(out)), {"method": ["bilinear"]})
+        assert rows[0]["error"] == "" and not out.exists()
+
+    def test_same_stem_inputs_rejected_before_any_scan(self, tmp_path, monkeypatch):
+        specs = same_stem_scans(tmp_path)
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        config = small_config(inputs=specs, out_dir=str(out), no_artifacts=False)
+        with pytest.raises(ValueError, match="same artifact files"):
+            sweep(config, {"method": ["bilinear", "gradient"]})
+        assert not calls and not out.exists()
+
     def test_noise_monotone_in_threshold(self):
         # stricter thresholds admit fewer risky fills
         config = small_config(inputs=["synth:0"], method="gradient")
@@ -653,6 +701,17 @@ class TestCli:
                      "--out-dir", str(tmp_path / "x"), "--no-artifacts"])
         assert code != 0
         assert "does-not-exist.bin" in capsys.readouterr().err
+
+    def test_failing_scan_stderr_and_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "cli"
+        code = main(["pipeline", "missing.bin", "synth:0", "--width", "256", "--height", "64",
+                     "--out-dir", str(out), "--no-artifacts"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scan missing.bin: stage 'ingest': input not found: missing.bin",
+            "error: 1 scan(s) failed: missing.bin",
+        ]
+        assert [row["input"] for row in json.loads((out / "report.json").read_text())] == ["synth:0"]
 
     def test_config_file_with_cli_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -783,6 +842,17 @@ class TestCli:
         assert code == 0
         text = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(text) == 1 + 4  # header + 2 methods x 2 thresholds
+
+    def test_sweep_bad_out_dir_fails_before_any_scan(self, tmp_path, capsys, monkeypatch):
+        calls = count_evaluates(monkeypatch)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["sweep", "synth:0", "synth:1", "--width", "256", "--height", "64",
+                     "--method", "bilinear", "--out-dir", str(blocker / "out"), "--no-artifacts"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(blocker / "out") in err
+        assert not calls
 
     def test_sweep_writes_its_report_format(self, tmp_path, capsys):
         out = tmp_path / "sweep"
