@@ -186,6 +186,11 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    for kind in ("ri", "cloud"):
+        ref, test = getattr(args, f"ref_{kind}"), getattr(args, f"test_{kind}")
+        if bool(ref) != bool(test):
+            given, missing = ("ref", "test") if ref else ("test", "ref")
+            raise ValueError(f"--{missing}-{kind} is required with --{given}-{kind}")
     report: dict = {}
     if args.ref_ri and args.test_ri:
         report["ssim"] = ssim(load_ri(args.test_ri), load_ri(args.ref_ri))

@@ -14,14 +14,15 @@ angle to any ray outside the window. Both passes find the point at a
 pixel through one index grid per image (_index_grid: pixel -> point, -1
 at EMPTY), built once per call. KdTree (scipy's cKDTree, built at its
 first non-empty query) resolves the points still without an answer, and
-every point when the geometries differ.
+every point when the geometries differ. scipy is imported at that first
+build, not with this module, so importing riterp and scoring a scan whose
+ladders certify every point never load it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .pointcloud import PointCloud
 from .projection import RangeImage, RiGeometry
@@ -87,17 +88,27 @@ def ssim(a: RangeImage, b: RangeImage,
     return float(score.mean())
 
 
+def _build_tree(points: np.ndarray):
+    """scipy's cKDTree over (N, 3) points, as KdTree builds it. scipy is
+    imported here, at the first build, so that importing riterp (most of
+    whose start-up time scipy.spatial would be) does not load it."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
 class KdTree:
     """Exact nearest-neighbor index over a point cloud, built on demand.
 
     The constructor keeps a private copy of the cloud's points, so the
     index answers for the cloud as it was then. The first query with any
-    point builds scipy's cKDTree over them and later queries reuse it; an
-    empty query builds nothing. The tree uses sliding-midpoint splits
-    (Maneewongvatana & Mount 1999), which build faster than median splits
-    and answer the same exact queries, and scipy's default leaves of up to
-    16 points; distances match a brute-force scan exactly (same float64
-    arithmetic).
+    point builds scipy's cKDTree over them with _build_tree, which is
+    also where scipy is first imported, and later queries reuse it; an
+    empty query builds nothing and loads no scipy. The tree uses
+    sliding-midpoint splits (Maneewongvatana & Mount 1999), which build
+    faster than median splits and answer the same exact queries, and
+    scipy's default leaves of up to 16 points; distances match a
+    brute-force scan exactly (same float64 arithmetic).
     """
 
     def __init__(self, cloud: PointCloud):
@@ -111,7 +122,7 @@ class KdTree:
         if len(points) == 0:
             return np.zeros(0), np.zeros(0, dtype=np.intp)
         if self._tree is None:
-            self._tree = cKDTree(self._points, balanced_tree=False, compact_nodes=False)
+            self._tree = _build_tree(self._points)
         dist, idx = self._tree.query(points, k=1, workers=1)
         return np.atleast_1d(dist), np.atleast_1d(idx)
 

@@ -457,6 +457,8 @@ def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
     for name in grid:
         if name not in {f.name for f in fields(config)}:
             raise ValueError(f"unknown config field in grid: {name!r}")
+        if not grid[name]:
+            raise ValueError(f"no values for grid field {name!r}")
     labels: dict[str, str] = {}
     rows: list[dict | None] = []
     groups: dict[tuple, list[tuple[int, str, PipelineConfig, str]]] = {}

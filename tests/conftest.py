@@ -47,13 +47,13 @@ def count_builds(monkeypatch) -> list[np.ndarray]:
     """Record the points of every scipy cKDTree that metrics builds; a
     KdTree builds one only at its first query with points."""
     built = []
-    real = metrics.cKDTree
+    real = metrics._build_tree
 
-    def counting(points, *args, **kwargs):
+    def counting(points):
         built.append(points)
-        return real(points, *args, **kwargs)
+        return real(points)
 
-    monkeypatch.setattr(metrics, "cKDTree", counting)
+    monkeypatch.setattr(metrics, "_build_tree", counting)
     return built
 
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +23,25 @@ from riterp.metrics import nn_distances, noise_split
 
 from conftest import count_builds, random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: run in a fresh interpreter, since this one has scipy loaded: the scipy
+#: modules loaded after import, after an exact gradient scan (no tree) and
+#: after a bilinear one (trees)
+_SCIPY_AT_STAGES = '''
+import json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import riterp, riterp.cli
+from riterp import PipelineConfig, run_scan
+seen = {"import": loaded()}
+report, _ = run_scan("synth:0", PipelineConfig(grad_threshold=0.8, no_artifacts=True))
+seen["exact"], seen["exact_tree_points"] = loaded(), report["nn_tree_points"]
+report, _ = run_scan("synth:0", PipelineConfig(method="bilinear", no_artifacts=True))
+seen["bilinear"], seen["bilinear_tree_points"] = loaded(), report["nn_tree_points"]
+print(json.dumps(seen))
+'''
 
 GEOM_16 = RiGeometry(width=16, height=16, pitch_max=2, pitch_min=-24.8,
                      min_depth=2.0, max_depth=120.0)
@@ -127,6 +152,16 @@ class TestKdTree:
         assert tree.query(np.zeros((0, 3)))[0].size == 0
         assert tree.query(np.array([[2.5, 0.0, 0.0]]))[0].tolist() == [0.5]
         assert len(built) == 1
+
+    def test_scipy_loads_at_the_first_build(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", _SCIPY_AT_STAGES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["import"] == []
+        assert seen["exact_tree_points"] == 0 and seen["exact"] == []
+        assert seen["bilinear_tree_points"] > 0 and "scipy.spatial" in seen["bilinear"]
 
     def test_answers_for_the_cloud_as_it_was_made(self):
         rng = np.random.default_rng(17)

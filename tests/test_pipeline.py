@@ -502,6 +502,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown"):
             sweep(small_config(inputs=["synth:0"]), {"windows": [1]})
 
+    def test_empty_axis_rejected_before_any_scan(self, monkeypatch):
+        calls = count_loads(monkeypatch)
+        with pytest.raises(ValueError, match="no values for grid field 'method'"):
+            sweep(small_config(inputs=["synth:0"]), {"bits": [None, 10], "method": []})
+        assert not calls
+
     def test_failures_become_rows(self):
         config = small_config(inputs=["missing.bin"])
         rows = sweep(config, {"method": ["bilinear"]})
@@ -907,6 +913,24 @@ class TestCli:
     def test_score_without_pairs_fails(self):
         with pytest.raises(SystemExit):
             main(["score"])
+
+    @pytest.mark.parametrize("other_pair", [False, True])
+    @pytest.mark.parametrize("given, missing", [
+        ("--ref-ri", "--test-ri"), ("--test-ri", "--ref-ri"),
+        ("--ref-cloud", "--test-cloud"), ("--test-cloud", "--ref-cloud")])
+    def test_score_rejects_half_a_pair(self, given, missing, other_pair, ri_512x16, tmp_path,
+                                       capsys):
+        _, ri = ri_512x16
+        cloud = tmp_path / "c.ply"
+        assert main(["reconstruct", str(ri), str(cloud)]) == 0
+        argv = ["score", given, str(cloud if "cloud" in given else ri)]
+        if other_pair:  # a complete pair of the other kind does not excuse the half one
+            argv += ["--ref-ri", str(ri), "--test-ri", str(ri)] if "cloud" in given else \
+                ["--ref-cloud", str(cloud), "--test-cloud", str(cloud)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "\n" not in err.strip() and missing in err and given in err
 
     @pytest.mark.parametrize("command", ["interp", "score"])
     def test_ri_without_geometry_keys_fails_with_file_and_key(self, command, tmp_path, capsys):
