@@ -10,6 +10,8 @@ inputs, and a key=value config file can supply any of them, with the
 command line taking precedence. sweep takes one or more values for
 method, policy and grad_threshold, and runs their grid; pipeline is the
 sweep of one cell. Both write per-cell artifacts unless --no-artifacts.
+score scores an RI pair with the pipeline's score step, score_ris, so a
+chain of stage commands reports the numbers a pipeline row does.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .gradient import ASCENDING, DESCENDING
-from .metrics import chamfer, ssim
+from .metrics import chamfer
 from .pipeline import (
     METHODS,
     REPORT_FORMATS,
@@ -31,6 +33,7 @@ from .pipeline import (
     load_scan,
     point_colors,
     run_pipeline,
+    score_ris,
     sweep,
     upscale_ri,
     write_report,
@@ -123,17 +126,20 @@ def _config_from_args(args: argparse.Namespace, **override) -> PipelineConfig:
     default."""
     values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
     values.update({name: values[name][0] for name in _SWEPT if isinstance(values.get(name), list)})
-    values["policy_order"] = _POLICY_NAMES[values["policy_order"]]
+    if "policy_order" in values:
+        values["policy_order"] = _POLICY_NAMES[values["policy_order"]]
     return PipelineConfig(**{**values, **override})
 
 
 def _cmd_synth(args) -> int:
-    cloud = synth_scene(args.seed)
     out = Path(args.output)
-    if out.suffix == ".ply":
-        write_ply(cloud, out)
-    else:
-        write_kitti_bin(cloud, out)
+    writer = {".bin": write_kitti_bin, ".ply": write_ply}.get(out.suffix.lower())
+    if writer is None:
+        raise ValueError(f"{out}: unsupported output format {out.suffix!r}; expected .bin or .ply")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    cloud = synth_scene(args.seed)
+    writer(cloud, out)
     print(f"wrote {out} ({len(cloud)} points)")
     return 0
 
@@ -191,13 +197,17 @@ def _cmd_score(args) -> int:
         if bool(ref) != bool(test):
             given, missing = ("ref", "test") if ref else ("test", "ref")
             raise ValueError(f"--{missing}-{kind} is required with --{given}-{kind}")
-    report: dict = {}
-    if args.ref_ri and args.test_ri:
-        report["ssim"] = ssim(load_ri(args.test_ri), load_ri(args.ref_ri))
-    if args.ref_cloud and args.test_cloud:
-        report["chamfer"] = chamfer(read_ply(args.test_cloud), read_ply(args.ref_cloud))
-    if not report:
-        raise SystemExit("error: need --ref-ri/--test-ri and/or --ref-cloud/--test-cloud")
+    if args.ref_ri and args.ref_cloud:
+        raise ValueError("give --ref-ri/--test-ri or --ref-cloud/--test-cloud, not both")
+    if args.ref_ri:
+        ref, test = load_ri(args.ref_ri), load_ri(args.test_ri)
+        cell = _config_from_args(args, **asdict(ref.geometry))  # the cell that made test
+        mask = None if cell.method == "none" else interp_mask(test, cell.factor_x, cell.factor_y)
+        report = score_ris(test, ref, mask, cell.delta)
+    elif args.ref_cloud:
+        report = {"chamfer": chamfer(read_ply(args.test_cloud), read_ply(args.ref_cloud))}
+    else:
+        raise SystemExit("error: need --ref-ri/--test-ri or --ref-cloud/--test-cloud")
     print(json.dumps(report, indent=2))
     return 0
 
@@ -271,11 +281,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_config_flags(p, _FACTORS)
     p.set_defaults(fn=_cmd_reconstruct)
 
-    p = sub.add_parser("score", help="score RI pairs (SSIM) and cloud pairs (chamfer)")
+    p = sub.add_parser("score", help="score an RI pair as pipeline does, or a cloud pair (chamfer)",
+                       description="An RI pair (.npz) gets pipeline's scores and counts; the flags "
+                       "say how the test RI was made. A cloud pair (.ply, float32) gets chamfer.")
     p.add_argument("--ref-ri")
     p.add_argument("--test-ri")
     p.add_argument("--ref-cloud")
     p.add_argument("--test-cloud")
+    _add_config_flags(p, ["method", *_FACTORS, "delta"])
     p.set_defaults(fn=_cmd_score)
 
     for name, fn, about in [

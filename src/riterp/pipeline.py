@@ -209,6 +209,35 @@ def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
     return color
 
 
+def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, delta: float,
+              ref_tree: KdTree | None = None, ref_ssim: tuple | None = None,
+              clouds: tuple[PointCloud, PointCloud] | None = None) -> dict:
+    """The score stage: test_ri against ref_ri, as the report's ssim,
+    noise_ratio, chamfer, densify_count, interp_points, nn_fallback_points
+    and nn_tree_points. noise_ratio and densify_count split the points
+    that mask (test_ri's interp_mask; None for method none, which gives
+    None and 0) marks: the fraction farther than delta from every reference
+    point, and the number within delta. ref_tree (a KdTree over ref_ri's
+    cloud), ref_ssim (ssim_terms(ref_ri)) and clouds (ri_to_cloud of
+    test_ri and ref_ri) are made here unless given."""
+    test_cloud, ref_cloud = clouds or (ri_to_cloud(test_ri), ri_to_cloud(ref_ri))
+    tg, rg = test_ri.geometry, ref_ri.geometry
+    if tg == rg:
+        ssim_score = ssim(test_ri, ref_ri, ref_ssim)
+    else:  # not upscaled: against the reference decimated to its size, un-quantized
+        ssim_score = ssim(test_ri, downsample_ri(ref_ri, max(rg.width // tg.width, 1),
+                                                 max(rg.height // tg.height, 1)))
+    # exact distances per direction: the range-image windows where they
+    # certify them, the k-d trees for the rest
+    d_test, d_ref, n_fallback, n_tree = nn_distances(test_cloud, ref_cloud, ref_tree,
+                                                     (test_ri, ref_ri))
+    ratio, densify = (None, 0) if mask is None else noise_split(d_test[mask], delta)
+    n_interp = 0 if mask is None else int(np.count_nonzero(mask))
+    return {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),
+            "densify_count": densify, "interp_points": n_interp,
+            "nn_fallback_points": n_fallback, "nn_tree_points": n_tree}
+
+
 @contextmanager
 def _stage(timings: dict[str, float], stage: str):
     """Add the block's wall time in ms to timings[stage]; any exception in
@@ -275,10 +304,9 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     prepared scan.
 
     Returns (report, artifacts); artifacts maps name -> RangeImage /
-    (PointCloud, interp_mask) pairs for the writer. The report's
-    noise_ratio and densify_count partition the interpolated points:
-    noise_ratio is the fraction farther than delta from every reference
-    point, densify_count the number within delta. The first report from a
+    (PointCloud, interp_mask) pairs for the writer. The report's scores
+    and counts are score_ris's, on the cloud and mask that reconstruct
+    made and the context's tree and SSIM terms. The first report from a
     context also carries the stage times prepare_scan spent; later ones
     read 0.0 for the stages they reused. Raises StageError with the
     failing stage's name, and ValueError if config's prefix key differs
@@ -297,38 +325,23 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
         test_cloud = ri_to_cloud(test_ri)
         mask = interp_mask(test_ri, config.factor_x, config.factor_y) if up_ri is not None else None
     with _stage(timings, "score"):
-        if up_ri is not None:
-            ssim_score = ssim(test_ri, ref_ri, ctx.ref_ssim)
-        else:
-            # no upscale: compare at the degraded resolution against the
-            # un-quantized decimation of the reference
-            ssim_score = ssim(test_ri, downsample_ri(ref_ri, config.factor_x, config.factor_y))
-        # exact distances per direction: the range-image windows where they
-        # certify them, the k-d trees for the rest
-        d_test, d_ref, n_fallback, n_tree = nn_distances(test_cloud, ref_cloud, ctx.ref_tree,
-                                                         (test_ri, ref_ri))
-        if mask is not None:
-            ratio, densify = noise_split(d_test[mask], config.delta)
-            n_interp = int(np.count_nonzero(mask))
-        else:
-            ratio, densify, n_interp = None, 0, 0
-        quality = {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),
-                   "densify_count": densify}
+        scores = score_ris(test_ri, ref_ri, mask, config.delta, ctx.ref_tree, ctx.ref_ssim,
+                           (test_cloud, ref_cloud))
     for stage, ms in ctx.pending_ms.items():
         timings[stage] += ms
     ctx.pending_ms = {}
 
     report = dict(config.echo())
     report["input"] = ctx.spec
-    report.update(quality)
-    report["interp_points"] = n_interp
+    report.update(scores)
     report["ref_occupancy"] = occupancy(ref_ri)
     report["degraded_occupancy"] = occupancy(deg_ri)
     report["test_occupancy"] = occupancy(test_ri)
     report["points_in"] = ctx.points_in
     report["points_out"] = len(test_cloud)
-    report["nn_fallback_points"] = n_fallback
-    report["nn_tree_points"] = n_tree
+    # reports keep the k-d tree counts after the point counts
+    report["nn_fallback_points"] = report.pop("nn_fallback_points")
+    report["nn_tree_points"] = report.pop("nn_tree_points")
     for stage, ms in timings.items():
         report[f"time_{stage}_ms"] = ms
 
@@ -388,7 +401,8 @@ def run_pipeline(config: PipelineConfig) -> list[dict]:
 
 def write_report(rows: list[dict], path: Path) -> None:
     """Write rows to a .json path as a JSON list, to any other path as CSV
-    whose columns are the union of the rows' keys, in first-seen order."""
+    whose columns are the union of the rows' keys, in first-seen order but
+    for 'error', which comes last whichever rows failed."""
     if path.suffix == ".json":
         path.write_text(json.dumps(rows, indent=2) + "\n")
         return
@@ -396,7 +410,8 @@ def write_report(rows: list[dict], path: Path) -> None:
         path.write_text("")
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
+        columns = sorted(dict.fromkeys(k for row in rows for k in row), key=lambda k: k == "error")
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -427,11 +442,12 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
         try:
             row, artifacts = evaluate(ctx, cell)
             row["error"] = ""
-        except StageError as err:
-            row = _error_row(cell, spec, str(err))
-        else:
             if not cell.no_artifacts:
                 write_artifacts(label, artifacts, Path(cell.out_dir))
+        except StageError as err:
+            row = _error_row(cell, spec, str(err))
+        except OSError as err:  # its message names the file
+            row = _error_row(cell, spec, f"write: {err}")
         rows[index] = evaluated[key] = row
 
 
@@ -446,8 +462,9 @@ def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:
     (the same numbers; e.g. two baseline cells that differ only in a
     gradient field) only the first is evaluated per scan: the others copy
     its row with their own config echo, and every time_*_ms of a copy
-    reads 0.0 ("reused, not run again"). Failures become rows with an
-    'error' column and the sweep continues.
+    reads 0.0 ("reused, not run again"). Failures, and artifact writes
+    that fail ("write: ", naming the file), become rows with an 'error'
+    column and the sweep continues.
 
     Unless no_artifacts is set, an evaluated row writes its artifacts as
     <scan>[_<grid value>...]_<name>, e.g. synth_0_gradient_2.5_upscaled.pgm,

@@ -358,6 +358,36 @@ def test_scores_equal_unfused_oracle(method, bits):
     assert report["densify_count"] + round(report["noise_ratio"] * n) == n
 
 
+#: the keys riterp score prints for a pair of range images, in order
+SCORE_KEYS = ("ssim", "noise_ratio", "chamfer", "densify_count", "interp_points",
+              "nn_fallback_points", "nn_tree_points")
+
+
+@pytest.mark.parametrize("bits", [None, 10])
+@pytest.mark.parametrize("method, factor_x", [*((m, 2) for m in METHODS), ("none", 4)])
+def test_file_chain_scores_equal_the_pipeline_row(method, factor_x, bits, tmp_path, capsys):
+    """convert -> degrade -> interp -> score through .npz files prints
+    exactly the pipeline row's scores and counts. Method none skips
+    interp and scores the degraded RI, whose geometry sets the
+    reference's decimation for SSIM."""
+    ri, deg, up = (str(tmp_path / f"{name}.npz") for name in ("ri", "deg", "up"))
+    factor = ["--factor-x", str(factor_x)]
+    assert main(["convert", "synth:0", ri, "--width", "256", "--height", "64"]) == 0
+    assert main(["degrade", ri, deg, *factor, *([] if bits is None else ["--bits", str(bits)])]) == 0
+    test = deg
+    if method != "none":
+        assert main(["interp", deg, up, "--method", method, *factor]) == 0
+        test = up
+    capsys.readouterr()
+    assert main(["score", "--ref-ri", ri, "--test-ri", test, "--method", method, *factor,
+                 "--delta", "0.5"]) == 0
+    scored = json.loads(capsys.readouterr().out)
+    row, _ = run_scan("synth:0", small_config(inputs=["synth:0"], method=method,
+                                              factor_x=factor_x, bits=bits))
+    assert list(scored) == list(SCORE_KEYS)
+    assert scored == {key: row[key] for key in SCORE_KEYS}
+
+
 class TestRunPipeline:
     def test_writes_report_and_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -672,7 +702,8 @@ class TestSweep:
 class TestCli:
     @pytest.mark.parametrize("command, positional", [
         ("convert", ["in", "out"]), ("degrade", ["in", "out"]), ("interp", ["in", "out"]),
-        ("reconstruct", ["in", "out"]), ("pipeline", ["synth:0"]), ("sweep", ["synth:0"])])
+        ("reconstruct", ["in", "out"]), ("score", []), ("pipeline", ["synth:0"]),
+        ("sweep", ["synth:0"])])
     def test_field_flags_default_to_the_config(self, command, positional):
         parser, commands = build_parser()
         args = parser.parse_args([command, *positional])
@@ -872,6 +903,60 @@ class TestCli:
         assert all(row["error"] == "" and row["report_format"] == "json" for row in rows)
         assert f"wrote {out / 'sweep.json'} (2 rows, 0 errors)" in capsys.readouterr().out
 
+    def test_sweep_artifact_write_failure_is_that_cells_error_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        blocked = out / "synth_1_bilinear_reference.pgm"
+        blocked.mkdir(parents=True)
+        code = main(["sweep", "synth:0", "synth:1", "--width", "256", "--height", "64",
+                     "--method", "bilinear", "gradient", "--out-dir", str(out)])
+        assert code == 1
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [(row["method"], row["input"]) for row in rows] == [
+            ("bilinear", "synth:0"), ("bilinear", "synth:1"),
+            ("gradient", "synth:0"), ("gradient", "synth:1")]
+        errors = [row["error"] for row in rows]
+        assert errors[0] == errors[2] == errors[3] == ""
+        assert str(blocked) in errors[1] and "\n" not in errors[1]
+        assert (out / "synth_1_gradient_test_cloud.ply").exists()  # the later cells went on
+        assert f"wrote {out / 'sweep.json'} (4 rows, 1 errors)" in capsys.readouterr().out
+
+    def test_pipeline_artifact_write_failure_fails_that_scan(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        blocked = out / "synth_0_reference.pgm"
+        blocked.mkdir(parents=True)
+        code = main(["pipeline", "synth:0", "synth:1", "--width", "256", "--height", "64",
+                     "--method", "bilinear", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("error: scan synth:0: ") and str(blocked) in err[0]
+        assert err[1] == "error: 1 scan(s) failed: synth:0"
+        assert [row["input"] for row in json.loads((out / "report.json").read_text())] == ["synth:1"]
+
+    def test_csv_header_does_not_depend_on_failed_rows(self, tmp_path):
+        headers = []
+        for inputs in (["synth:0"], ["missing.bin", "synth:0"]):  # the missing scan's rows come first
+            out = tmp_path / str(len(inputs))
+            main(["sweep", *inputs, "--width", "256", "--height", "64", "--method", "bilinear",
+                  "--report-format", "csv", "--out-dir", str(out), "--no-artifacts"])
+            headers.append((out / "sweep.csv").read_text().splitlines()[0])
+        assert headers[0] == headers[1]
+        assert headers[0].endswith(",error")
+
+    @pytest.mark.parametrize("name", ["x.npz", "x.pgm", "x"])
+    def test_synth_rejects_an_unknown_output_suffix(self, name, tmp_path, capsys):
+        out = tmp_path / name
+        assert main(["synth", "--seed", "1", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(out) in err
+        assert not out.exists()
+
+    def test_synth_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "s.bin"
+        assert main(["synth", "--seed", "-1", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "--seed" in err
+        assert not out.exists()
+
     @pytest.fixture
     def ri_512x16(self, tmp_path):
         geom = RiGeometry(width=512, height=16, pitch_max=2.0, pitch_min=-24.8,
@@ -931,6 +1016,26 @@ class TestCli:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and "\n" not in err.strip() and missing in err and given in err
+
+    def test_score_takes_one_kind_of_pair(self, ri_512x16, tmp_path, capsys):
+        """Both kinds print a chamfer, so one call scores one kind."""
+        _, ri = ri_512x16
+        cloud = tmp_path / "c.ply"
+        assert main(["reconstruct", str(ri), str(cloud)]) == 0
+        capsys.readouterr()
+        assert main(["score", "--ref-ri", str(ri), "--test-ri", str(ri),
+                     "--ref-cloud", str(cloud), "--test-cloud", str(cloud)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "\n" not in err.strip() and "--ref-ri" in err and "--ref-cloud" in err
+
+    @pytest.mark.parametrize("delta", ["0", "nan"])
+    def test_score_rejects_a_bad_delta_by_the_config_rule(self, delta, ri_512x16, capsys):
+        _, path = ri_512x16
+        with pytest.raises(ValueError) as rule:
+            PipelineConfig(delta=float(delta))
+        assert main(["score", "--ref-ri", str(path), "--test-ri", str(path), "--delta", delta]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {rule.value}\n"
 
     @pytest.mark.parametrize("command", ["interp", "score"])
     def test_ri_without_geometry_keys_fails_with_file_and_key(self, command, tmp_path, capsys):
