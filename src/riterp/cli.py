@@ -6,23 +6,25 @@ sets a pipeline knob is generated from a PipelineConfig field: it is
 spelled --<field-name-with-dashes> (policy_order is --policy) and takes
 its type and default from the field, so PipelineConfig is the one place
 a default is written. pipeline and sweep have a flag for every field but
-inputs, and a key=value config file can supply any of them, with the
-command line taking precedence. sweep takes one or more values for
-method, policy and grad_threshold, and runs their grid; pipeline is the
-sweep of one cell. Both write per-cell artifacts unless --no-artifacts.
-score scores an RI pair with the pipeline's score step, score_ris, so a
-chain of stage commands reports the numbers a pipeline row does.
+inputs (a key=value config file can supply any, the command line wins)
+and alone build a PipelineConfig; sweep takes one or more values for
+method, policy and grad_threshold and runs their grid, pipeline is the
+sweep of one cell, and both write per-cell artifacts unless --no-artifacts.
+interp and score hand their flags to upscale_ri and score_ris, which
+check what they read, so a chain of stage commands reports the numbers
+a pipeline row does.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .gradient import ASCENDING, DESCENDING
+from .gradient import ASCENDING, DESCENDING, check_gradient_factors
+from .lossy import downsampled_geometry
 from .metrics import chamfer
 from .pipeline import (
     METHODS,
@@ -42,17 +44,17 @@ from .pointcloud import read_ply, write_kitti_bin, write_ply
 from .projection import RiGeometry, cloud_to_ri, load_ri, ri_to_cloud, save_ri, write_pgm
 from .synth import synth_scene
 
-_POLICY_NAMES = {"asc": ASCENDING, "desc": DESCENDING,
-                 ASCENDING: ASCENDING, DESCENDING: DESCENDING}
 _DEFAULTS = PipelineConfig()
 _TYPES = get_type_hints(PipelineConfig)
-_CHOICES = {"method": METHODS, "policy_order": sorted(_POLICY_NAMES), "report_format": REPORT_FORMATS}
+_CHOICES = {"method": METHODS, "policy_order": (ASCENDING, DESCENDING), "report_format": REPORT_FORMATS}
 #: the fields sweep takes one or more values of, and runs the grid over
 _SWEPT = ("method", "policy_order", "grad_threshold")
 #: the values a config file may give an on/off flag, in any case
 _ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _GEOMETRY = [f.name for f in fields(RiGeometry)]
 _FACTORS = ["factor_x", "factor_y"]
+#: --policy's short names for the canonical ones
+_POLICY_SHORT = {"asc": ASCENDING, "desc": DESCENDING}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names: list[str], sweep_mode: bool = False,
@@ -63,11 +65,13 @@ def _add_config_flags(p: argparse.ArgumentParser, names: list[str], sweep_mode: 
     for name in names:
         # the annotation's type, int for int | None
         kind = next(t for t in get_args(_TYPES[name]) or [_TYPES[name]] if t is not type(None))
-        flag = "--policy" if name == "policy_order" else "--" + name.replace("_", "-")
+        flag, about = "--" + name.replace("_", "-"), None
+        if name == "policy_order":
+            flag, kind, about = "--policy", lambda s: _POLICY_SHORT.get(s, s), "asc and desc for short"
         options = {"action": "store_true"} if kind is bool else {
             "type": kind, "choices": {**_CHOICES, **choices}.get(name),
             "nargs": "+" if sweep_mode and name in _SWEPT else None}
-        p.add_argument(flag, dest=name, default=getattr(_DEFAULTS, name), **options)
+        p.add_argument(flag, dest=name, default=getattr(_DEFAULTS, name), help=about, **options)
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
@@ -120,15 +124,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     parser.set_defaults(**defaults)
 
 
-def _config_from_args(args: argparse.Namespace, **override) -> PipelineConfig:
-    """The PipelineConfig of the parsed flags, with override applied. A
-    swept flag gives its first value; a field without a flag keeps its
-    default."""
-    values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
-    values.update({name: values[name][0] for name in _SWEPT if isinstance(values.get(name), list)})
-    if "policy_order" in values:
-        values["policy_order"] = _POLICY_NAMES[values["policy_order"]]
-    return PipelineConfig(**{**values, **override})
+def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    """The PipelineConfig of pipeline's or sweep's flags; a swept flag gives its first value."""
+    values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
+    values.update({name: values[name][0] for name in _SWEPT if isinstance(values[name], list)})
+    return PipelineConfig(**values)
 
 
 def _cmd_synth(args) -> int:
@@ -167,12 +167,7 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    ri = load_ri(args.input)
-    # sized so that the degraded RI is the loaded one, for the tiling check
-    g = ri.geometry
-    config = _config_from_args(args, **{**asdict(g), "width": g.width * args.factor_x,
-                                        "height": g.height * args.factor_y})
-    out = upscale_ri(ri, config)
+    out = upscale_ri(load_ri(args.input), args)  # the flags carry the config's field names
     save_ri(out, args.output)
     if args.pgm:
         write_pgm(out, Path(args.output).with_suffix(".pgm"))
@@ -201,9 +196,15 @@ def _cmd_score(args) -> int:
         raise ValueError("give --ref-ri/--test-ri or --ref-cloud/--test-cloud, not both")
     if args.ref_ri:
         ref, test = load_ri(args.ref_ri), load_ri(args.test_ri)
-        cell = _config_from_args(args, **asdict(ref.geometry))  # the cell that made test
-        mask = None if cell.method == "none" else interp_mask(test, cell.factor_x, cell.factor_y)
-        report = score_ris(test, ref, mask, cell.delta)
+        if args.method == "gradient":
+            check_gradient_factors(args.factor_x, args.factor_y)
+        degraded = downsampled_geometry(ref.geometry, args.factor_x, args.factor_y)
+        made, t = (degraded if args.method == "none" else ref.geometry), test.geometry
+        if t != made:
+            raise ValueError(f"--test-ri is {t.width}x{t.height}, but --method {args.method} makes "
+                             f"{made.width}x{made.height} from --ref-ri, with its FOV and depth clamp")
+        mask = None if args.method == "none" else interp_mask(test, args.factor_x, args.factor_y)
+        report = score_ris(test, ref, mask, args.delta)
     elif args.ref_cloud:
         report = {"chamfer": chamfer(read_ply(args.test_cloud), read_ply(args.ref_cloud))}
     else:
@@ -229,8 +230,6 @@ def _cmd_pipeline(args) -> int:
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
     grid = {name: getattr(args, name) for name in _SWEPT if isinstance(getattr(args, name), list)}
-    if "policy_order" in grid:
-        grid["policy_order"] = [_POLICY_NAMES[p] for p in grid["policy_order"]]
     path = Path(base.out_dir) / f"sweep.{base.report_format}"
     path.parent.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails before any scan
     rows = sweep(base, grid)

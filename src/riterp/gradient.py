@@ -66,6 +66,13 @@ def check_policy(grad_threshold: float = DEFAULT_GRADIENT_THRESHOLD, max_fills: 
         raise ValueError(f"grad_threshold must be > 0, got {grad_threshold}")
 
 
+def check_gradient_factors(factor_x: int, factor_y: int) -> None:
+    """Raise ValueError unless the factors are (2, 1): the method doubles the width only."""
+    if (factor_x, factor_y) != (2, 1):
+        raise ValueError(f"gradient interpolation is 2x horizontal only, got factors "
+                         f"({factor_x}, {factor_y})")
+
+
 def check_window(g: RiGeometry, window_w: int, window_h: int) -> None:
     """Raise ValueError unless integer window_w >= 2 and window_h >= 1
     windows tile an image of geometry g."""

@@ -346,6 +346,12 @@ def nn_distances(
     return d_ab, d_ba, n_fallback, int(np.count_nonzero(ask_a) + np.count_nonzero(ask_b))
 
 
+def check_delta(delta: float) -> None:
+    """Raise ValueError unless the noise threshold is > 0 (NaN would count no point noisy)."""
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+
+
 def noise_split(dist: np.ndarray, delta: float) -> tuple[float, int]:
     """(ratio, densify_count) from the interpolated points' distances to
     their nearest reference point: the fraction farther than delta, and

@@ -34,9 +34,9 @@ import numpy as np
 
 from .baselines import SUPPORT, upscale_baseline
 from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, DEFAULT_WINDOW_W,
-                       check_policy, check_window, upscale_gradient)
+                       check_gradient_factors, check_policy, check_window, upscale_gradient)
 from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometry, quantize
-from .metrics import KdTree, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
+from .metrics import KdTree, check_delta, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
 from .pointcloud import PointCloud, check_range, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import (KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud,
                          write_pgm)
@@ -56,8 +56,8 @@ INTERP_COLOR = (255, 40, 40)
 @dataclass
 class PipelineConfig:
     """Every knob of one experiment run. Construction applies the stages'
-    own checks (geometry, range filter, factors, bits, gradient windows,
-    policy), so a bad config fails before any scan."""
+    own checks (geometry, range filter, factors, bits, gradient factors
+    and windows, policy, delta), so a bad config fails before any scan."""
 
     inputs: list[str] = field(default_factory=list)
     width: int = KITTI_GEOMETRY.width
@@ -87,18 +87,11 @@ class PipelineConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.report_format not in REPORT_FORMATS:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
-        if not self.delta > 0:  # NaN too
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        check_delta(self.delta)
         check_range(self.range_min, self.range_max)
-        # before the geometry, which `riterp interp` sizes by the factors
-        check_factors(self.factor_x, self.factor_y)
         degraded = downsampled_geometry(self.geometry, self.factor_x, self.factor_y)
         if self.method == "gradient":
-            if (self.factor_x, self.factor_y) != (2, 1):
-                raise ValueError(
-                    f"gradient interpolation is 2x horizontal only, got factors "
-                    f"({self.factor_x}, {self.factor_y})"
-                )
+            check_gradient_factors(self.factor_x, self.factor_y)
             check_window(degraded, self.window_w, self.window_h)
         check_policy(self.grad_threshold, self.max_fills, self.policy_order)
         if self.bits is not None:
@@ -182,10 +175,11 @@ def degrade_ri(ri: RangeImage, factor_x: int, factor_y: int = 1, bits: int | Non
 
 
 def upscale_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage | None:
-    """Apply the configured interpolation; None for method 'none'."""
+    """Interpolate ri by config, any object with the fields its method reads; None for 'none'."""
     if config.method == "none":
         return None
     if config.method == "gradient":
+        check_gradient_factors(config.factor_x, config.factor_y)
         return upscale_gradient(ri, config.window_w, config.window_h, config.grad_threshold,
                                 config.max_fills, config.policy_order)
     return upscale_baseline(ri, config.method, config.factor_x, config.factor_y)
@@ -217,9 +211,10 @@ def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, 
     and nn_tree_points. noise_ratio and densify_count split the points
     that mask (test_ri's interp_mask; None for method none, which gives
     None and 0) marks: the fraction farther than delta from every reference
-    point, and the number within delta. ref_tree (a KdTree over ref_ri's
-    cloud), ref_ssim (ssim_terms(ref_ri)) and clouds (ri_to_cloud of
-    test_ri and ref_ri) are made here unless given."""
+    point, and the number within delta, which must be > 0. ref_tree (a
+    KdTree over ref_ri's cloud), ref_ssim (ssim_terms(ref_ri)) and clouds
+    (ri_to_cloud of test_ri and ref_ri) are made here unless given."""
+    check_delta(delta)
     test_cloud, ref_cloud = clouds or (ri_to_cloud(test_ri), ri_to_cloud(ref_ri))
     tg, rg = test_ri.geometry, ref_ri.geometry
     if tg == rg:
@@ -424,7 +419,8 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
     """Fill rows[index] for every (index, spec, cell, label) job of one
     prefix group from a single prepared scan. Only the first job of each
     cell_key is evaluated and writes artifacts; a later one gets a new
-    dict: that row with its own config echo and every time_*_ms at 0.0."""
+    dict: that row, or its numbers if the write failed, with its own
+    config echo and every time_*_ms at 0.0."""
     _, spec, first, _ = jobs[0]
     try:
         ctx = prepare_scan(spec, first)
@@ -441,14 +437,13 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
             continue
         try:
             row, artifacts = evaluate(ctx, cell)
-            row["error"] = ""
+            rows[index] = evaluated[key] = {**row, "error": ""}  # before the write, which may fail
             if not cell.no_artifacts:
                 write_artifacts(label, artifacts, Path(cell.out_dir))
         except StageError as err:
-            row = _error_row(cell, spec, str(err))
+            rows[index] = evaluated[key] = _error_row(cell, spec, str(err))
         except OSError as err:  # its message names the file
-            row = _error_row(cell, spec, f"write: {err}")
-        rows[index] = evaluated[key] = row
+            rows[index] = _error_row(cell, spec, f"write: {err}")
 
 
 def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:

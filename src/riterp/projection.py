@@ -114,9 +114,6 @@ def cloud_to_ri(cloud: PointCloud, geom: RiGeometry) -> RangeImage:
     outside the depth clamp or the vertical FOV are dropped.
     """
     p = cloud.points
-    if len(cloud) == 0:
-        return RangeImage(geom, np.full((geom.height, geom.width), EMPTY))
-
     r = cloud.ranges()
     # float32 rounding before the depth gate keeps stored values and the
     # gate consistent for clouds reconstructed from an RI
@@ -207,13 +204,9 @@ def load_ri(path: str | Path) -> RangeImage:
             if key not in data.files:
                 raise ValueError(f"{path}: RI archive has no key {key!r}")
         try:
-            geom = RiGeometry(
-                width=data["width"].item(), height=data["height"].item(),
-                pitch_max=float(data["pitch_max"]), pitch_min=float(data["pitch_min"]),
-                min_depth=float(data["min_depth"]), max_depth=float(data["max_depth"]),
-            )
+            geom = RiGeometry(**{f.name: data[f.name].item() for f in fields(RiGeometry)})
             return RangeImage(geom, data["depth"])
-        except (TypeError, ValueError) as err:  # TypeError: a non-scalar geometry value
+        except (TypeError, ValueError) as err:  # a non-scalar, non-numeric or invalid value
             raise ValueError(f"{path}: {err}") from None
 
 

@@ -920,6 +920,25 @@ class TestCli:
         assert (out / "synth_1_gradient_test_cloud.ply").exists()  # the later cells went on
         assert f"wrote {out / 'sweep.json'} (4 rows, 1 errors)" in capsys.readouterr().out
 
+    def test_sweep_copy_keeps_its_numbers_after_a_failed_write(self, tmp_path, capsys):
+        """The 2.5 cell copies the 0.8 cell's numbers; only the cell that
+        wrote gets the write error."""
+        out = tmp_path / "out"
+        blocked = out / "synth_0_bilinear_0.8_reference.pgm"
+        blocked.mkdir(parents=True)
+        code = main(["sweep", "synth:0", "--width", "256", "--method", "bilinear",
+                     "--grad-threshold", "0.8", "2.5", "--out-dir", str(out)])
+        assert code == 1
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [row["grad_threshold"] for row in rows] == [0.8, 2.5]
+        assert rows[0]["error"].startswith("write: ") and str(blocked) in rows[0]["error"]
+        assert rows[1]["error"] == "" and is_copy(rows[1])
+        fresh, _ = run_scan("synth:0", small_config(inputs=["synth:0"], method="bilinear",
+                                                    grad_threshold=2.5, no_artifacts=False,
+                                                    out_dir=str(out)))
+        assert strip_times(rows[1]) == {**strip_times(fresh), "error": ""}
+        assert f"wrote {out / 'sweep.json'} (2 rows, 1 errors)" in capsys.readouterr().out
+
     def test_pipeline_artifact_write_failure_fails_that_scan(self, tmp_path, capsys):
         out = tmp_path / "out"
         blocked = out / "synth_0_reference.pgm"
@@ -1036,6 +1055,65 @@ class TestCli:
         assert main(["score", "--ref-ri", str(path), "--test-ri", str(path), "--delta", delta]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {rule.value}\n"
+
+    def test_score_reads_no_window(self, tmp_path, capsys):
+        """A 400x16 pair upscaled with 40-wide windows scores as gradient:
+        the default 32-wide window, which does not tile 200 columns, is not
+        the score step's business."""
+        ri, deg, up = (str(tmp_path / f"{name}.npz") for name in ("ri", "deg", "up"))
+        assert main(["convert", "synth:0", ri, "--width", "400", "--height", "16"]) == 0
+        assert main(["degrade", ri, deg]) == 0
+        assert main(["interp", deg, up, "--window-w", "40"]) == 0
+        capsys.readouterr()
+        assert main(["score", "--ref-ri", ri, "--test-ri", up, "--method", "gradient"]) == 0
+        assert json.loads(capsys.readouterr().out)["interp_points"] > 0
+
+    def test_interp_baseline_reads_no_gradient_knob(self, ri_512x16, tmp_path):
+        ri, path = ri_512x16
+        up = tmp_path / "up.npz"
+        assert main(["interp", str(path), str(up), "--method", "bilinear", "--grad-threshold", "0",
+                     "--window-w", "3"]) == 0
+        assert load_ri(up).geometry.width == 2 * ri.geometry.width
+
+    def test_interp_gradient_factor_rule_is_the_configs(self, ri_512x16, tmp_path, capsys):
+        _, path = ri_512x16
+        with pytest.raises(ValueError) as rule:
+            PipelineConfig(factor_x=4)
+        assert main(["interp", str(path), str(tmp_path / "up.npz"), "--method", "gradient",
+                     "--factor-x", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {rule.value}\n"
+
+    @pytest.mark.parametrize("command, positional", [
+        ("interp", ["in", "out"]), ("pipeline", ["synth:0"]), ("sweep", ["synth:0"])])
+    @pytest.mark.parametrize("short, name", [("asc", "ascending_depth"), ("desc", "descending_depth")])
+    def test_policy_short_names_parse_to_the_canonical_ones(self, command, positional, short, name):
+        parser, _ = build_parser()
+        args = parser.parse_args([command, *positional, "--policy", short])
+        assert args.policy_order == ([name] if command == "sweep" else name)
+
+    def test_policy_help_shows_the_short_names(self):
+        _, commands = build_parser()
+        text = commands["interp"].format_help()
+        assert "asc" in text.replace("ascending", "") and "desc" in text.replace("descending", "")
+
+    @pytest.mark.parametrize("made, flags", [("deg", []), ("up", ["--method", "none"])])
+    def test_score_rejects_a_pair_its_flags_do_not_describe(self, made, flags, ri_512x16, tmp_path,
+                                                            capsys):
+        """The degraded image under the default gradient, and an upscaled
+        one under none: neither is what the flags say made it."""
+        _, ri = ri_512x16
+        deg, up = tmp_path / "deg.npz", tmp_path / "up.npz"
+        assert main(["degrade", str(ri), str(deg)]) == 0
+        assert main(["interp", str(deg), str(up), "--method", "bilinear"]) == 0
+        test = {"deg": deg, "up": up}[made]
+        capsys.readouterr()
+        assert main(["score", "--ref-ri", str(ri), "--test-ri", str(test), *flags]) == 1
+        out, err = capsys.readouterr()
+        size = {"deg": "256x16", "up": "512x16"}[made]
+        expected = {"deg": "512x16", "up": "256x16"}[made]
+        assert out == "" and "\n" not in err.strip() and "--test-ri" in err
+        assert size in err and expected in err
 
     @pytest.mark.parametrize("command", ["interp", "score"])
     def test_ri_without_geometry_keys_fails_with_file_and_key(self, command, tmp_path, capsys):
