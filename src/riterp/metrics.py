@@ -4,16 +4,21 @@ classification, and chamfer distance between clouds.
 Nearest neighbours are exact and use the range image as their index when
 both clouds come from RIs of one geometry: each point climbs one ladder
 of windows around its own pixel (columns wrap at the +-pi seam). Rung 0,
-the point's own row 7 columns wide, is searched densely for both clouds
-at once; rung 1 adds the rows above and below (3 x 7); rungs 2, 3, ...
-widen the window (5 x 15, 9 x 31, ...) while the cloud's own budget of
-pixel visits lasts (LADDER_PASSES for the reference cloud,
-TEST_LADDER_PASSES for the test cloud). A rung's minimum is exact when it
-is below the point's depth times window_radius, the sine of the least
-angle to any ray outside the window. Both passes find the point at a
-pixel through one index grid per image (_index_grid: pixel -> point, -1
-at EMPTY), built once per call. KdTree (scipy's cKDTree, built at its
-first non-empty query) resolves the points still without an answer, and
+the point's own row, is searched densely for both clouds at once, over
+the fewest columns that certify as far as the 7 of the 3 x 7 window do
+(_centre_row_cols either side: 5 columns at KITTI size, where the row
+pitch bounds rung 0);
+rung 1 adds the rest of the 3 x 7 window; rungs 2, 3, ... widen the
+window (5 x 15, 9 x 31, ...) while the cloud's own budget of pixel
+visits lasts (LADDER_PASSES for the reference cloud, TEST_LADDER_PASSES
+for the test cloud). A rung's minimum is exact when it is below the
+point's depth times window_radius, the sine of the least angle to any
+ray outside the window. Every rung reads the points from the two images'
+padded xyz grids (projection.xyz_grid, NaN at EMPTY), which callers that
+already built them pass in: rung 0 as band slices, rung 1 through a
+table of offsets into the padding, the wider rungs through clamped and
+wrapped pixel indices. KdTree (scipy's cKDTree, built at its first
+non-empty query) resolves the points still without an answer, and
 every point when the geometries differ. scipy is imported at that first
 build, not with this module, so importing riterp and scoring a scan whose
 ladders certify every point never load it.
@@ -25,7 +30,7 @@ import math
 import numpy as np
 
 from .pointcloud import PointCloud
-from .projection import RangeImage, RiGeometry
+from .projection import WINDOW_COLS, WINDOW_ROWS, RangeImage, RiGeometry, xyz_grid
 
 SSIM_WINDOW = 8
 SSIM_K1 = 0.01
@@ -127,10 +132,6 @@ class KdTree:
         return np.atleast_1d(dist), np.atleast_1d(idx)
 
 
-#: half-extents (rows, columns) of the range-image window that nn_distances
-#: searches around each pixel: 3 rows x 7 columns
-WINDOW_ROWS = 1
-WINDOW_COLS = 3
 #: the reference cloud's ladder gives up, leaving its points to a k-d tree
 #: over the test cloud, before its widening windows would visit more pixels
 #: in all than this many passes over the image: about the cost of building
@@ -172,77 +173,56 @@ def window_radius(geom: RiGeometry, rows: int, cols: int) -> float:
     return math.sin(min(theta, math.pi / 2))
 
 
-def _index_grid(occupied: np.ndarray) -> np.ndarray:
-    """(H + 1) x W grid of each pixel's index in ri_to_cloud's output for
-    an image with this mask; -1 at EMPTY pixels and in the extra last row,
-    which stands for every row outside the image."""
-    h, w = occupied.shape
-    index = np.full((h + 1, w), -1, dtype=np.intp)
-    index[:h][occupied] = np.arange(np.count_nonzero(occupied))
-    return index
+def _centre_row_cols(geom: RiGeometry) -> int:
+    """Half-width of rung 0: the least cols with window_radius(geom, 0,
+    cols) == window_radius(geom, 0, WINDOW_COLS), so no minimum that rung
+    0 certifies lies farther off (2 at KITTI_GEOMETRY, where the row pitch
+    bounds rung 0)."""
+    radius = window_radius(geom, 0, WINDOW_COLS)
+    return next(cols for cols in range(WINDOW_COLS + 1) if window_radius(geom, 0, cols) == radius)
 
 
-def _points_at(index: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(3, *index.shape) x, y, z of the (N, 3) points at these _index_grid
-    entries; NaN where an entry is -1."""
-    out = np.empty((3, *index.shape))
+def _gathered_minima(grid: np.ndarray, q: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Squared distance from each point q[i] to the nearest of the points
+    at the flat indices index[i] of grid's pixels, an xyz_grid, or inf if
+    each of them is NaN (EMPTY or outside the image)."""
+    flat = grid.reshape(3, -1)
+    diff = np.empty((3, *index.shape))
     for axis in range(3):
-        out[axis] = points[:, axis][index]
-    np.copyto(out, np.nan, where=index < 0)
-    return out
+        flat[axis].take(index, out=diff[axis])
+    diff -= q.T[:, :, None]
+    np.square(diff, out=diff)
+    d2 = diff[0] + diff[1]
+    d2 += diff[2]
+    return np.fmin.reduce(d2, axis=1, initial=np.inf)  # fmin: NaN loses
 
 
-def _gathered_minima(index: np.ndarray, pa: np.ndarray, q: np.ndarray, v: np.ndarray,
-                     u: np.ndarray, dv: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Squared distance from each point q[i], at pixel (v[i], u[i]), to the
-    nearest of pa's points at the pixels (v[i] + dv, u[i] + du), or inf if
-    there is none. `index` is the _index_grid of pa's image; rows outside
-    the image are skipped and columns wrap at the seam. The points are
-    gathered in chunks of at most as many pixels as a band of the
-    centre-row pass."""
-    h, w = index.shape[0] - 1, index.shape[1]
-    chunk = max(1, _BAND_ROWS * w // (dv.size * du.size))
-    out = np.empty(len(q))
-    for s in range(0, len(q), chunk):
-        part = slice(s, s + chunk)
-        rows = v[part, None] + dv
-        rows[(rows < 0) | (rows >= h)] = h
-        cols = (u[part, None] + du) % w
-        diff = _points_at(index.take(rows[:, :, None] * w + cols[:, None, :]), pa)  # flat indices
-        diff -= q[part].T[:, :, None, None]
-        np.square(diff, out=diff)
-        d2 = diff[0] + diff[1]
-        d2 += diff[2]
-        out[part] = np.fmin.reduce(d2, axis=(1, 2), initial=np.inf)  # fmin: NaN (EMPTY) loses
-    return out
-
-
-def _centre_row_minima(index_a: np.ndarray, index_b: np.ndarray, pa: np.ndarray,
-                       pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centre_row_minima(grid_a: np.ndarray, grid_b: np.ndarray, occupied_a: np.ndarray,
+                       occupied_b: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared minima, per point of a and of b, over the other cloud's
-    points in the centre row of the window: the point's own row, columns
-    within WINDOW_COLS (wrapped at the +-pi seam). index_a and index_b are
-    the _index_grids of two images of one geometry at least
-    2 WINDOW_COLS + 1 wide, and pa and pb their ri_to_cloud points.
+    points in the point's own row within `cols` columns (wrapped at the
+    +-pi seam), at most WINDOW_COLS. grid_a and grid_b are the xyz_grids
+    of two images of one geometry at least 2 WINDOW_COLS + 1 wide, whose
+    occupied masks are occupied_a and occupied_b.
 
-    One dense pass, in bands of rows, serves both directions, since
-    d(p, q) = d(q, p); distances are (dx^2 + dy^2) + dz^2 in float64, like
-    cKDTree's. Its scratch is freed on return.
+    One dense pass over band slices of the two grids, in bands of rows,
+    serves both directions, since d(p, q) = d(q, p); distances are
+    (dx^2 + dy^2) + dz^2 in float64, like cKDTree's. Its scratch is freed
+    on return.
     """
-    h, w = index_a.shape[0] - 1, index_a.shape[1]
-    cc = WINDOW_COLS
-    cols = np.arange(-cc, w + cc) % w  # b's bands repeat the columns across the seam
+    h, w = occupied_a.shape
+    pr, pc = WINDOW_ROWS, WINDOW_COLS
     # squared centre-row minima at every pixel of a, and of b padded like
-    # b's bands; the padding columns are folded back across the seam below
+    # b's band slices; the padding columns are folded back across the seam below
     min_a = np.full((h, w), np.inf)
-    min_b = np.full((h, w + 2 * cc), np.inf)
+    min_b = np.full((h, w + 2 * cols), np.inf)
     for r0 in range(0, h, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, h)
-        band_a = _points_at(index_a[r0:r1], pa)
-        band_b = _points_at(index_b[r0:r1, cols], pb)
+        band_a = grid_a[:, pr + r0:pr + r1, pc:pc + w]
+        band_b = grid_b[:, pr + r0:pr + r1, pc - cols:pc + w + cols]
         diff = np.empty(band_a.shape)
         d2 = np.empty(band_a.shape[1:])
-        for du in range(2 * cc + 1):
+        for du in range(2 * cols + 1):
             np.subtract(band_a, band_b[:, :, du:du + w], out=diff)
             np.multiply(diff, diff, out=diff)
             np.add(diff[0], diff[1], out=d2)
@@ -250,44 +230,64 @@ def _centre_row_minima(index_a: np.ndarray, index_b: np.ndarray, pa: np.ndarray,
             np.fmin(min_a[r0:r1], d2, out=min_a[r0:r1])  # fmin: NaN (EMPTY) loses
             band_min_b = min_b[r0:r1, du:du + w]
             np.fmin(band_min_b, d2, out=band_min_b)
-    core_b = min_b[:, cc:cc + w]
-    np.fmin(core_b[:, w - cc:], min_b[:, :cc], out=core_b[:, w - cc:])
-    np.fmin(core_b[:, :cc], min_b[:, w + cc:], out=core_b[:, :cc])
-    return min_a[index_a[:h] >= 0], core_b[index_b[:h] >= 0]
+    core_b = min_b[:, cols:cols + w]
+    np.fmin(core_b[:, w - cols:], min_b[:, :cols], out=core_b[:, w - cols:])
+    np.fmin(core_b[:, :cols], min_b[:, w + cols:], out=core_b[:, :cols])
+    return min_a[occupied_a], core_b[occupied_b]
 
 
-def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray,
-            other: tuple[np.ndarray, np.ndarray], passes: float) -> tuple[np.ndarray, int]:
+def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray, other: np.ndarray,
+            passes: float) -> tuple[np.ndarray, int]:
     """Distances from ri's points p to the other cloud's points that the
     window ladder certifies, NaN elsewhere, and how many points rung 1
     left uncertified.
 
-    `minima` are p's squared _centre_row_minima; `other` is the other
-    cloud's (_index_grid, ri_to_cloud points), over ri's geometry. Rung k
-    searches the pixels within (rows, cols) of each point's pixel (rows
-    clipped at the image border, columns wrapped at the seam) for the
-    points the rungs before it left, and certifies a minimum below depth *
-    window_radius(geom, rows, cols), less the slack. Rung 0 is the centre
-    row (0, WINDOW_COLS); rung 1 gathers the 3 x 7 window's other rows;
-    rungs 2, 3, ... gather the widening windows (2, 7), (4, 15), ... whole,
-    and the ladder stops before one that would take the pixels they visit
-    past `passes` passes over the image: with 0, after the 3 x 7 window.
+    `minima` are p's squared _centre_row_minima over _centre_row_cols(g)
+    columns; `other` is the other cloud's xyz_grid, over ri's geometry g.
+    Rung k searches the pixels within (rows, cols) of each point's pixel
+    for the points the rungs before it left, and certifies a minimum below
+    depth * window_radius(g, rows, cols), less the slack. Rung 0 is the
+    centre row (0, WINDOW_COLS), whose certificate _centre_row_cols
+    columns give; rung 1 gathers the rest of the 3 x 7 window through a
+    table of offsets into the padded grid; rungs 2, 3, ... gather the
+    widening windows (2, 7), (4, 15), ... whole (rows clipped at the image
+    border, columns wrapped at the seam), and the ladder stops before one
+    that would take the pixels they visit past `passes` passes over the
+    image: with 0, after the 3 x 7 window.
     """
     g = ri.geometry
     h, w = g.height, g.width
-    depth = ri.depth[ri.occupied]
+    occupied = ri.occupied
+    depth = ri.depth[occupied]
     d = np.sqrt(minima)  # rung 0
     left = np.flatnonzero(~(d < depth * (window_radius(g, 0, WINDOW_COLS) * (1.0 - _CERT_SLACK))))
     if left.size == 0:
         return d, 0
     d[left] = np.nan
-    pixel = np.flatnonzero(ri.occupied)
+    pixel = np.flatnonzero(occupied)
+    # rung 1's pixels as offsets from a point's own pixel in the grid, whose
+    # pad rows and columns hold every pixel of the 3 x 7 window
+    stride = w + 2 * WINDOW_COLS
+    dv, du = np.mgrid[-WINDOW_ROWS:WINDOW_ROWS + 1, -WINDOW_COLS:WINDOW_COLS + 1].reshape(2, -1)
+    rest = (dv != 0) | (np.abs(du) > _centre_row_cols(g))
+    offsets = dv[rest] * stride + du[rest]
     minima, n_left = minima[left], None
-    rows, cols, budget = WINDOW_ROWS, WINDOW_COLS, passes * h * w
-    dv, du = np.r_[-rows:0, 1:rows + 1], np.arange(-cols, cols + 1)  # rung 1
+    rows, cols, size, budget = WINDOW_ROWS, WINDOW_COLS, offsets.size, passes * h * w
     while True:
         v, u = np.divmod(pixel[left], w)
-        minima = np.minimum(minima, _gathered_minima(*other, p[left], v, u, dv, du))
+        found = np.empty(left.size)
+        chunk = max(1, _BAND_ROWS * w // size)  # as many pixels as a band of rung 0
+        for s in range(0, left.size, chunk):
+            part = slice(s, s + chunk)
+            if n_left is None:
+                index = ((v[part] + WINDOW_ROWS) * stride + u[part] + WINDOW_COLS)[:, None] + offsets
+            else:  # a row outside the image reads the NaN pad row below it
+                rows_at = v[part, None] + dv
+                rows_at[(rows_at < 0) | (rows_at >= h)] = h
+                index = (((rows_at + WINDOW_ROWS) * stride)[:, :, None]
+                         + ((u[part, None] + du) % w + WINDOW_COLS)[:, None, :])
+            found[part] = _gathered_minima(other, p[left[part]], index.reshape(-1, size))
+        minima = np.minimum(minima, found)
         found = np.sqrt(minima)
         sure = found < depth[left] * (window_radius(g, rows, cols) * (1.0 - _CERT_SLACK))
         d[left[sure]] = found[sure]
@@ -297,7 +297,8 @@ def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray,
         rows, cols = 2 * rows, 2 * cols + 1
         dv = np.arange(-min(rows, h - 1), min(rows, h - 1) + 1)
         du = np.arange(-min(cols, w // 2), min(cols, w // 2) + 1)
-        budget -= left.size * dv.size * du.size
+        size = dv.size * du.size
+        budget -= left.size * size
         if left.size == 0 or budget < 0:
             return d, n_left
 
@@ -307,6 +308,7 @@ def nn_distances(
     b: PointCloud,
     tree_b: KdTree | None = None,
     ris: tuple[RangeImage, RangeImage] | None = None,
+    grids: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Exact nearest-neighbour distances in both directions, a -> b and
     b -> a, the number of points the 3 x 7 window did not certify, and
@@ -323,16 +325,18 @@ def nn_distances(
     of making one and is queried even with no point left; since a KdTree
     builds its tree at its first non-empty query, no tree over b is built
     when every point of a is certified. A KdTree over a is made only if
-    some point of b is left after the ladder.
+    some point of b is left after the ladder. `grids`, the xyz_grids of
+    the two ris made beforehand, are built here unless given.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
     g = None if ris is None else ris[0].geometry
     if g is not None and g == ris[1].geometry and g.width >= 2 * WINDOW_COLS + 1:
-        index_a, index_b = _index_grid(ris[0].occupied), _index_grid(ris[1].occupied)
-        min_a, min_b = _centre_row_minima(index_a, index_b, a.points, b.points)
-        d_ab, left_a = _ladder(ris[0], a.points, min_a, (index_b, b.points), TEST_LADDER_PASSES)
-        d_ba, left_b = _ladder(ris[1], b.points, min_b, (index_a, a.points), LADDER_PASSES)
+        grid_a, grid_b = grids or (xyz_grid(ris[0]), xyz_grid(ris[1]))
+        min_a, min_b = _centre_row_minima(grid_a, grid_b, ris[0].occupied, ris[1].occupied,
+                                          _centre_row_cols(g))
+        d_ab, left_a = _ladder(ris[0], a.points, min_a, grid_b, TEST_LADDER_PASSES)
+        d_ba, left_b = _ladder(ris[1], b.points, min_b, grid_a, LADDER_PASSES)
         n_fallback = left_a + left_b
     else:
         d_ab, d_ba = np.full(len(a), np.nan), np.full(len(b), np.nan)

@@ -11,13 +11,13 @@ cloud reconstructed from the reference RI (which contains every source
 point the degraded image kept, when quantization is off).
 
 prepare_scan runs the stages that no degradation or interpolation setting
-changes (through the reference RI, its cloud, its k-d tree index and its
-half of SSIM) once per scan; evaluate runs the rest for one config, so
-sweep cells share them. The index builds its tree in the first cell that
-queries it, if any does. STAGE_FIELDS says which config fields each
-stage reads: prefix_key and cell_key are read from it, and a sweep
-evaluates each distinct cell of a scan once. sweep is the one loop over
-scans: run_pipeline is the sweep of one cell, plus its report.
+changes (through the reference RI, its xyz grid and cloud, its k-d tree
+index and its half of SSIM) once per scan; evaluate runs the rest for
+one config, so sweep cells share them. The index builds its tree in the
+first cell that queries it, if any does. STAGE_FIELDS says which config
+fields each stage reads: prefix_key and cell_key are read from it, and a
+sweep evaluates each distinct cell of a scan once. sweep is the one loop
+over scans: run_pipeline is the sweep of one cell, plus its report.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometr
 from .metrics import KdTree, check_delta, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
 from .pointcloud import PointCloud, check_range, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import (KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud,
-                         write_pgm)
+                         write_pgm, xyz_grid)
 from .synth import synth_scene
 
 METHODS = ("none", *SUPPORT, "gradient")
@@ -205,15 +205,17 @@ def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
 
 def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, delta: float,
               ref_tree: KdTree | None = None, ref_ssim: tuple | None = None,
-              clouds: tuple[PointCloud, PointCloud] | None = None) -> dict:
+              clouds: tuple[PointCloud, PointCloud] | None = None,
+              grids: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """The score stage: test_ri against ref_ri, as the report's ssim,
     noise_ratio, chamfer, densify_count, interp_points, nn_fallback_points
     and nn_tree_points. noise_ratio and densify_count split the points
     that mask (test_ri's interp_mask; None for method none, which gives
     None and 0) marks: the fraction farther than delta from every reference
     point, and the number within delta, which must be > 0. ref_tree (a
-    KdTree over ref_ri's cloud), ref_ssim (ssim_terms(ref_ri)) and clouds
-    (ri_to_cloud of test_ri and ref_ri) are made here unless given."""
+    KdTree over ref_ri's cloud), ref_ssim (ssim_terms(ref_ri)), clouds
+    (ri_to_cloud of test_ri and ref_ri) and grids (their xyz_grids) are
+    made here unless given."""
     check_delta(delta)
     test_cloud, ref_cloud = clouds or (ri_to_cloud(test_ri), ri_to_cloud(ref_ri))
     tg, rg = test_ri.geometry, ref_ri.geometry
@@ -225,7 +227,7 @@ def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, 
     # exact distances per direction: the range-image windows where they
     # certify them, the k-d trees for the rest
     d_test, d_ref, n_fallback, n_tree = nn_distances(test_cloud, ref_cloud, ref_tree,
-                                                     (test_ri, ref_ri))
+                                                     (test_ri, ref_ri), grids)
     ratio, densify = (None, 0) if mask is None else noise_split(d_test[mask], delta)
     n_interp = 0 if mask is None else int(np.count_nonzero(mask))
     return {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),
@@ -257,6 +259,8 @@ class ScanContext:
     key: tuple
     points_in: int
     ref_ri: RangeImage
+    #: xyz_grid(ref_ri), which ref_cloud was selected from
+    ref_grid: np.ndarray
     ref_cloud: PointCloud
     ref_tree: KdTree
     #: ssim_terms(ref_ri)
@@ -268,10 +272,10 @@ class ScanContext:
 
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     """Run ingest, filter and project on one input, and make the
-    reference cloud, its KdTree (whose tree is built later, when first
-    queried) and its SSIM terms. Raises StageError with the failing
-    stage's name; the reference cloud counts as reconstruct time, the
-    KdTree and the SSIM terms as score time."""
+    reference's xyz grid and cloud, its KdTree (whose tree is built later,
+    when first queried) and its SSIM terms. Raises StageError with the
+    failing stage's name; the grid and the cloud count as reconstruct
+    time, the KdTree and the SSIM terms as score time."""
     timings: dict[str, float] = {}
     with _stage(timings, "ingest"):
         cloud = load_scan(spec)
@@ -287,10 +291,11 @@ def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
                              f"[{g.pitch_min}, {g.pitch_max}] deg and depth clamp "
                              f"[{g.min_depth}, {g.max_depth}]")
     with _stage(timings, "reconstruct"):
-        ref_cloud = ri_to_cloud(ref_ri)
+        ref_grid = xyz_grid(ref_ri)
+        ref_cloud = ri_to_cloud(ref_ri, ref_grid)
     with _stage(timings, "score"):
         ref_tree, ref_ssim = KdTree(ref_cloud), ssim_terms(ref_ri)
-    return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_cloud,
+    return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_grid, ref_cloud,
                        ref_tree, ref_ssim, timings)
 
 
@@ -300,12 +305,12 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
 
     Returns (report, artifacts); artifacts maps name -> RangeImage /
     (PointCloud, interp_mask) pairs for the writer. The report's scores
-    and counts are score_ris's, on the cloud and mask that reconstruct
-    made and the context's tree and SSIM terms. The first report from a
-    context also carries the stage times prepare_scan spent; later ones
-    read 0.0 for the stages they reused. Raises StageError with the
-    failing stage's name, and ValueError if config's prefix key differs
-    from the context's.
+    and counts are score_ris's, on the xyz grid, cloud and mask that
+    reconstruct made and the context's grid, tree and SSIM terms. The
+    first report from a context also carries the stage times prepare_scan
+    spent; later ones read 0.0 for the stages they reused. Raises
+    StageError with the failing stage's name, and ValueError if config's
+    prefix key differs from the context's.
     """
     if prefix_key(ctx.spec, config) != ctx.key:
         raise ValueError(f"{ctx.spec}: scan context was prepared for another range or geometry")
@@ -317,11 +322,12 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
         up_ri = upscale_ri(deg_ri, config)
     with _stage(timings, "reconstruct"):
         test_ri = up_ri if up_ri is not None else deg_ri
-        test_cloud = ri_to_cloud(test_ri)
+        test_grid = xyz_grid(test_ri)
+        test_cloud = ri_to_cloud(test_ri, test_grid)
         mask = interp_mask(test_ri, config.factor_x, config.factor_y) if up_ri is not None else None
     with _stage(timings, "score"):
         scores = score_ris(test_ri, ref_ri, mask, config.delta, ctx.ref_tree, ctx.ref_ssim,
-                           (test_cloud, ref_cloud))
+                           (test_cloud, ref_cloud), (test_grid, ctx.ref_grid))
     for stage, ms in ctx.pending_ms.items():
         timings[stage] += ms
     ctx.pending_ms = {}
@@ -418,8 +424,9 @@ def _error_row(config: PipelineConfig, spec: str, error: str, overrides: dict | 
 def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) -> None:
     """Fill rows[index] for every (index, spec, cell, label) job of one
     prefix group from a single prepared scan. Only the first job of each
-    cell_key is evaluated and writes artifacts; a later one gets a new
-    dict: that row, or its numbers if the write failed, with its own
+    cell_key is evaluated and writes artifacts; a write that fails puts
+    its error on that row, which keeps its numbers and times. A later job
+    gets a new dict: the evaluated row without a write error, with its own
     config echo and every time_*_ms at 0.0."""
     _, spec, first, _ = jobs[0]
     try:
@@ -437,13 +444,15 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
             continue
         try:
             row, artifacts = evaluate(ctx, cell)
-            rows[index] = evaluated[key] = {**row, "error": ""}  # before the write, which may fail
-            if not cell.no_artifacts:
-                write_artifacts(label, artifacts, Path(cell.out_dir))
         except StageError as err:
             rows[index] = evaluated[key] = _error_row(cell, spec, str(err))
-        except OSError as err:  # its message names the file
-            rows[index] = _error_row(cell, spec, f"write: {err}")
+            continue
+        rows[index] = evaluated[key] = {**row, "error": ""}
+        if not cell.no_artifacts:
+            try:
+                write_artifacts(label, artifacts, Path(cell.out_dir))
+            except OSError as err:  # its message names the file
+                rows[index] = {**row, "error": f"write: {err}"}
 
 
 def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:

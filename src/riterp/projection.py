@@ -3,6 +3,10 @@
 A range image (RI) is a dense height x width grid of ray depths in meters,
 indexed by elevation (rows, top = pitch_max) and azimuth (columns, yaw pi at
 column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
+
+xyz_grid lays an RI's points out as the image, padded for the window
+search in metrics; ri_to_cloud selects its points from that grid, so a
+caller that also scores the cloud builds the grid once for both.
 """
 from __future__ import annotations
 
@@ -20,6 +24,12 @@ from .pointcloud import PointCloud
 #: because geometries require min_depth > 0, so the grid stays a plain
 #: numeric buffer.
 EMPTY = 0.0
+
+#: half-extents (rows, columns) of the range-image window around each
+#: pixel that metrics searches first: 3 rows x 7 columns. xyz_grid pads
+#: the image by as many rows and columns on each side.
+WINDOW_ROWS = 1
+WINDOW_COLS = 3
 
 
 @dataclass(frozen=True)
@@ -149,21 +159,44 @@ def pixel_center_angles(geom: RiGeometry, v: np.ndarray, u: np.ndarray):
     return yaw, np.radians(pitch_deg)
 
 
-def ri_to_cloud(ri: RangeImage) -> PointCloud:
+def xyz_grid(ri: RangeImage) -> np.ndarray:
+    """(3, height + 2 WINDOW_ROWS, width + 2 WINDOW_COLS) float64 x, y, z
+    of the point on each pixel-centre ray at its depth, pixel (v, u) at
+    [:, v + WINDOW_ROWS, u + WINDOW_COLS]: (r cos pitch) cos yaw,
+    (r cos pitch) sin yaw and r sin pitch. EMPTY pixels and the WINDOW_ROWS
+    pad rows above and below the image are NaN; the WINDOW_COLS pad
+    columns on each side repeat the image's columns across the +-pi seam."""
+    g = ri.geometry
+    h, w, pr, pc = g.height, g.width, WINDOW_ROWS, WINDOW_COLS
+    cos_pitch, sin_pitch, cos_yaw, sin_yaw = g.rays
+    grid = np.empty((3, h + 2 * pr, w + 2 * pc))
+    grid[:, :pr] = grid[:, pr + h:] = np.nan
+    rows = grid[:, pr:pr + h]
+    image = rows[:, :, pc:pc + w]
+    r_cos_pitch = ri.depth * cos_pitch[:, None]
+    np.multiply(r_cos_pitch, cos_yaw, out=image[0])
+    np.multiply(r_cos_pitch, sin_yaw, out=image[1])
+    np.multiply(ri.depth, sin_pitch[:, None], out=image[2])
+    np.copyto(image, np.nan, where=~ri.occupied)
+    rows[:, :, :pc] = image[:, :, np.arange(-pc, 0) % w]
+    rows[:, :, pc + w:] = image[:, :, np.arange(w, w + pc) % w]
+    return grid
+
+
+def ri_to_cloud(ri: RangeImage, grid: np.ndarray | None = None) -> PointCloud:
     """Emit one point per non-empty pixel along the pixel-center ray.
 
     Output order is row-major over the grid; np.nonzero(ri.occupied)
-    gives the matching (row, column) indices.
+    gives the matching (row, column) indices. The points are selected from
+    grid, xyz_grid(ri), which is built here unless given.
     """
+    if grid is None:
+        grid = xyz_grid(ri)
+    image = grid[:, WINDOW_ROWS:-WINDOW_ROWS, WINDOW_COLS:-WINDOW_COLS]
     occupied = ri.occupied
-    v, u = np.nonzero(occupied)
-    r = ri.depth[occupied]
-    cos_pitch, sin_pitch, cos_yaw, sin_yaw = ri.geometry.rays
-    r_cos_pitch = r * cos_pitch[v]
-    points = np.empty((r.size, 3))
-    np.multiply(r_cos_pitch, cos_yaw[u], out=points[:, 0])
-    np.multiply(r_cos_pitch, sin_yaw[u], out=points[:, 1])
-    np.multiply(r, sin_pitch[v], out=points[:, 2])
+    points = np.empty((np.count_nonzero(occupied), 3))
+    for axis in range(3):
+        points[:, axis] = image[axis][occupied]
     return PointCloud(points=points)
 
 

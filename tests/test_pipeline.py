@@ -922,7 +922,8 @@ class TestCli:
 
     def test_sweep_copy_keeps_its_numbers_after_a_failed_write(self, tmp_path, capsys):
         """The 2.5 cell copies the 0.8 cell's numbers; only the cell that
-        wrote gets the write error."""
+        wrote gets the write error, added to its evaluated row, which keeps
+        its scores and the scan's prefix stage times."""
         out = tmp_path / "out"
         blocked = out / "synth_0_bilinear_0.8_reference.pgm"
         blocked.mkdir(parents=True)
@@ -937,6 +938,10 @@ class TestCli:
                                                     grad_threshold=2.5, no_artifacts=False,
                                                     out_dir=str(out)))
         assert strip_times(rows[1]) == {**strip_times(fresh), "error": ""}
+        assert strip_times(rows[0]) == {**strip_times(fresh), "grad_threshold": 0.8,
+                                        "error": rows[0]["error"]}
+        assert rows[0]["ssim"] is not None and rows[0]["time_ingest_ms"] > 0
+        assert [k for k in rows[0] if k.startswith("time_")] == [f"time_{s}_ms" for s in STAGES]
         assert f"wrote {out / 'sweep.json'} (2 rows, 1 errors)" in capsys.readouterr().out
 
     def test_pipeline_artifact_write_failure_fails_that_scan(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riterp import (
@@ -17,7 +17,8 @@ from riterp import (
     occupancy,
     ri_to_cloud,
 )
-from riterp.projection import load_ri, pixel_center_angles, save_ri, write_pgm
+from riterp.projection import (WINDOW_COLS, WINDOW_ROWS, load_ri, pixel_center_angles, save_ri,
+                               write_pgm, xyz_grid)
 
 from conftest import random_ri
 
@@ -227,6 +228,29 @@ def test_ri_to_cloud_equals_per_point_trig(width, height, lo, span, seed):
     expected = np.stack([r * cos_pitch * np.cos(yaw), r * cos_pitch * np.sin(yaw),
                          r * np.sin(pitch)], axis=1)
     assert np.array_equal(ri_to_cloud(ri).points, expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(2, 2049), height=st.integers(2, 70),
+       lo=st.integers(-890, 880), span=st.integers(1, 1780), seed=st.integers(0, 2**32 - 1),
+       empty=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+@example(width=2048, height=64, lo=-248, span=268, seed=0, empty=0.3)
+def test_xyz_grid_lays_out_each_pixels_point(width, height, lo, span, seed, empty):
+    """Each occupied pixel's xyz in the grid is its ri_to_cloud point, bit
+    for bit; EMPTY pixels and the pad rows above and below are NaN; each
+    pad column repeats the image column across the seam from it."""
+    geom = RiGeometry(width=width, height=height, pitch_min=lo / 10,
+                      pitch_max=min(lo + span, 890) / 10, min_depth=2.0, max_depth=120.0)
+    ri = random_ri(np.random.default_rng(seed), geom, empty)
+    grid = xyz_grid(ri)
+    pr, pc = WINDOW_ROWS, WINDOW_COLS
+    assert grid.shape == (3, height + 2 * pr, width + 2 * pc) and grid.dtype == np.float64
+    image = grid[:, pr:pr + height, pc:pc + width]
+    assert np.array_equal(image[:, ri.occupied].T, ri_to_cloud(ri).points)
+    assert np.isnan(image[:, ~ri.occupied]).all()
+    assert np.isnan(grid[:, :pr]).all() and np.isnan(grid[:, pr + height:]).all()
+    seam = np.arange(-pc, width + pc) % width
+    assert np.array_equal(grid[:, pr:pr + height], image[:, :, seam], equal_nan=True)
 
 
 class TestOccupancy:

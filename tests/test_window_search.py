@@ -28,7 +28,7 @@ from riterp import (
 )
 from riterp import metrics
 from riterp.metrics import WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, window_radius
-from riterp.projection import pixel_center_angles
+from riterp.projection import pixel_center_angles, xyz_grid
 
 from conftest import count_builds, ladder_left
 from oracles import brute_window_minima
@@ -300,38 +300,73 @@ def test_radius_certifies_nothing_past_the_pole():
     assert window_radius(geometry(16, 4, -10.0, 95.0), WINDOW_ROWS, WINDOW_COLS) < 0
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(geom=geometries(), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
-def test_index_grid_points_at_each_pixels_point(geom, kind, seed):
-    """Every pixel's _index_grid entry is the index of the ri_to_cloud
-    point on that pixel's centre ray at its depth, each point's index
-    appears once, and the entry is -1 exactly at EMPTY pixels and in the
-    extra row below the image."""
-    for ri in make_pair(seed, kind, geom):
-        index = metrics._index_grid(ri.occupied)
-        points = ri_to_cloud(ri).points
-        assert index.shape == (geom.height + 1, geom.width)
-        assert (index[-1] == -1).all()
-        assert np.array_equal(index[:-1] == -1, ~ri.occupied)
-        assert np.array_equal(np.sort(index[index >= 0]), np.arange(len(points)))
-        v, u = np.nonzero(ri.occupied)
-        yaw, pitch = pixel_center_angles(geom, v, u)
-        ray = np.stack([np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)], 1)
-        expected = ri.depth[v, u, None] * ray
-        assert np.allclose(points[index[v, u]], expected, rtol=1e-12, atol=1e-12)
+#: geometries whose derived centre-row half-width is 0, 1, 2 and 3 columns:
+#: the row pitch bounds rung 0 below 3 (KITTI_GEOMETRY's is 2)
+CENTRE_ROW_COLS = {
+    0: geometry(2048, 4, -0.2, 0.2),
+    1: geometry(2048, 4, -0.5, 0.5),
+    2: geometry(2048, 4, -1.0, 0.6),
+    3: geometry(2048, 4, -24.8, 2.0),
+}
+
+
+@pytest.mark.parametrize("geom, cols", [*((g, c) for c, g in CENTRE_ROW_COLS.items()),
+                                        (KITTI_GEOMETRY, 2)])
+def test_centre_row_cols_is_the_least_that_certifies_as_far(geom, cols):
+    assert metrics._centre_row_cols(geom) == cols
+    assert window_radius(geom, 0, cols) == window_radius(geom, 0, WINDOW_COLS)
+    assert cols == 0 or window_radius(geom, 0, cols - 1) < window_radius(geom, 0, WINDOW_COLS)
+
+
+def with_centre_row_examples(test):
+    """test with one example at each geometry of CENTRE_ROW_COLS, so that
+    each half-width of the centre-row pass is run."""
+    for seed, geom in enumerate(CENTRE_ROW_COLS.values()):
+        test = example(geom=geom, seed=seed)(test)
+    return test
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(geom=geometries().filter(lambda g: g.width >= 2 * WINDOW_COLS + 1),
        seed=st.integers(0, 2**32 - 1))
+@with_centre_row_examples
 @pytest.mark.parametrize("kind", KINDS)
 def test_window_minima_equal_brute_force(kind, geom, seed):
     """Both directions' squared centre-row minima, rung 0 of the ladder,
     which decide its first certificate, equal a dense per-point scan of
-    the 7 pixels of each point's own row, bit for bit."""
+    the pixels of each point's own row within the geometry's
+    _centre_row_cols columns, bit for bit."""
     test, ref = make_pair(seed, kind, geom)
     pa, pb = ri_to_cloud(test).points, ri_to_cloud(ref).points
-    index_a, index_b = metrics._index_grid(test.occupied), metrics._index_grid(ref.occupied)
-    min_a, min_b = metrics._centre_row_minima(index_a, index_b, pa, pb)
-    assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb, rows=0)
-    assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa, rows=0)
+    cols = metrics._centre_row_cols(geom)
+    min_a, min_b = metrics._centre_row_minima(xyz_grid(test), xyz_grid(ref), test.occupied,
+                                              ref.occupied, cols)
+    assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb, 0, cols)
+    assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa, 0, cols)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(geom=geometries().filter(lambda g: g.width >= 2 * WINDOW_COLS + 1),
+       seed=st.integers(0, 2**32 - 1))
+@with_centre_row_examples
+@pytest.mark.parametrize("kind", KINDS)
+def test_ladder_rungs_0_and_1_equal_brute_force(kind, geom, seed):
+    """With no budget past the 3 x 7 window, each direction's ladder
+    answers exactly the points whose 3 x 7 minimum, from a dense per-point
+    scan of all 21 pixels, certifies, with that minimum's square root bit
+    for bit, and leaves the rest: rung 1 searches every pixel of the
+    window that rung 0 did not."""
+    test, ref = make_pair(seed, kind, geom)
+    grids = xyz_grid(test), xyz_grid(ref)
+    points = ri_to_cloud(test).points, ri_to_cloud(ref).points
+    minima = metrics._centre_row_minima(*grids, test.occupied, ref.occupied,
+                                        metrics._centre_row_cols(geom))
+    radius = window_radius(geom, WINDOW_ROWS, WINDOW_COLS) * (1 - 1e-9)
+    for own, other in ((0, 1), (1, 0)):
+        ri, other_ri = (test, ref)[own], (test, ref)[other]
+        d, n_left = metrics._ladder(ri, points[own], minima[own], grids[other], 0)
+        exact = np.sqrt(brute_window_minima(ri.occupied, points[own], other_ri.occupied,
+                                            points[other], WINDOW_ROWS, WINDOW_COLS))
+        certified = exact < ri.depth[ri.occupied] * radius
+        assert np.array_equal(d[certified], exact[certified])
+        assert np.isnan(d[~certified]).all() and n_left == np.count_nonzero(~certified)
