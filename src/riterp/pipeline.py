@@ -196,11 +196,16 @@ def interp_mask(ri: RangeImage, factor_x: int, factor_y: int = 1) -> np.ndarray:
 
 def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
     """(count, 3) uint8 PLY colors: SOURCE_COLOR, and INTERP_COLOR where
-    interp (an interp_mask) is set."""
-    color = np.tile(np.array(SOURCE_COLOR, dtype=np.uint8), (count, 1))
-    if interp is not None:
-        color[interp] = INTERP_COLOR
-    return color
+    interp (an interp_mask: a boolean array of count entries) is set. With
+    no interp it is a read-only view of one row."""
+    palette = np.array([SOURCE_COLOR, INTERP_COLOR], dtype=np.uint8)
+    if interp is None:
+        return np.broadcast_to(palette[0], (count, 3))
+    interp = np.asarray(interp)
+    if interp.dtype != bool or interp.shape != (count,):
+        raise ValueError(f"interp mask must be a boolean array of {count} entries, "
+                         f"got {interp.dtype} of shape {interp.shape}")
+    return palette.take(interp, axis=0)
 
 
 def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, delta: float,
@@ -217,7 +222,10 @@ def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, 
     (ri_to_cloud of test_ri and ref_ri) and grids (their xyz_grids) are
     made here unless given."""
     check_delta(delta)
-    test_cloud, ref_cloud = clouds or (ri_to_cloud(test_ri), ri_to_cloud(ref_ri))
+    if clouds is None:  # one grid per image, for ri_to_cloud and the window search
+        grids = grids or (xyz_grid(test_ri), xyz_grid(ref_ri))
+        clouds = ri_to_cloud(test_ri, grids[0]), ri_to_cloud(ref_ri, grids[1])
+    test_cloud, ref_cloud = clouds
     tg, rg = test_ri.geometry, ref_ri.geometry
     if tg == rg:
         ssim_score = ssim(test_ri, ref_ri, ref_ssim)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,24 @@ class PointCloud:
         return np.sqrt((x * x + y * y) + z * z)
 
 
+@contextmanager
+def overwrite(path: str | Path):
+    """Binary file object that rewrites path in place, for every PGM, PLY
+    and .bin writer: opened without truncating (created with the mode bits
+    of open(path, "wb")), then cut at the final position, also after a
+    failed write, if a regular file. A file rewritten at its own size is
+    never emptied, which on ext4 (auto_da_alloc) would start its writeback
+    at close; a crash mid-write leaves old bytes after the new ones."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # os.devnull cannot be truncated
+                os.ftruncate(fd, fh.tell())
+
+
 def _read_cloud(path: str | Path, points: np.ndarray, intensity: np.ndarray | None = None) -> PointCloud:
     """PointCloud of decoded file data; a rejected cloud names the file."""
     try:
@@ -75,10 +95,11 @@ def read_kitti_bin(path: str | Path) -> PointCloud:
 def write_kitti_bin(cloud: PointCloud, path: str | Path) -> None:
     """Write a cloud in the KITTI record layout (reflectance 0 if absent)."""
     records = np.zeros((len(cloud), 4), dtype="<f4")
-    records[:, :3] = cloud.points.astype(np.float32)
+    records[:, :3] = cloud.points
     if cloud.intensity is not None:
-        records[:, 3] = cloud.intensity.astype(np.float32)
-    Path(path).write_bytes(records.tobytes())
+        records[:, 3] = cloud.intensity
+    with overwrite(path) as fh:
+        records.tofile(fh)
 
 
 def write_ply(cloud: PointCloud, path: str | Path, color: np.ndarray | None = None) -> None:
@@ -88,28 +109,22 @@ def write_ply(cloud: PointCloud, path: str | Path, color: np.ndarray | None = No
     uchar red/green/blue properties.
     """
     n = len(cloud)
-    names = ["x", "y", "z"]
-    formats = ["<f4", "<f4", "<f4"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}",
+              "property float x", "property float y", "property float z"]
+    fields = [("xyz", "<f4", 3)]  # packed: the same bytes as one field per property
     if color is not None:
         color = np.asarray(color, dtype=np.uint8)
         if color.shape != (n, 3):
             raise ValueError(f"color must have shape ({n}, 3), got {color.shape}")
-        names += ["red", "green", "blue"]
-        formats += ["u1", "u1", "u1"]
-
-    data = np.empty(n, dtype={"names": names, "formats": formats})
-    pts32 = cloud.points.astype(np.float32)
-    data["x"], data["y"], data["z"] = pts32[:, 0], pts32[:, 1], pts32[:, 2]
-    if color is not None:
-        data["red"], data["green"], data["blue"] = color[:, 0], color[:, 1], color[:, 2]
-
-    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
-    header += ["property float x", "property float y", "property float z"]
-    if color is not None:
         header += ["property uchar red", "property uchar green", "property uchar blue"]
+        fields.append(("rgb", "u1", 3))
     header.append("end_header")
 
-    with open(path, "wb") as fh:
+    data = np.empty(n, dtype=fields)
+    data["xyz"] = cloud.points  # rounds to float32 as astype(np.float32) does
+    if color is not None:
+        data["rgb"] = color
+    with overwrite(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         data.tofile(fh)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, overwrite
 
 #: Sentinel for pixels without a LiDAR return. 0.0 is physically impossible
 #: because geometries require min_depth > 0, so the grid stays a plain
@@ -208,12 +208,14 @@ def occupancy(ri: RangeImage) -> float:
 def write_pgm(ri: RangeImage, path: str | Path) -> None:
     """Debug view: 16-bit binary PGM, depth mapped linearly from
     [0, max_depth] to [0, 65535] (EMPTY stays 0)."""
-    scaled = np.rint(ri.depth / ri.geometry.max_depth * 65535.0)
-    img = np.clip(scaled, 0, 65535).astype(">u2")  # raw PGM is big-endian
+    scaled = ri.depth / ri.geometry.max_depth
+    scaled *= 65535.0
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 65535, out=scaled)
     header = f"P5\n{ri.geometry.width} {ri.geometry.height}\n65535\n"
-    with open(path, "wb") as fh:
+    with overwrite(path) as fh:
         fh.write(header.encode("ascii"))
-        img.tofile(fh)
+        scaled.astype(">u2").tofile(fh)  # raw PGM is big-endian
 
 
 def save_ri(ri: RangeImage, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import fields, replace
 
@@ -27,7 +28,7 @@ from riterp import (
     upscale_gradient,
     write_kitti_bin,
 )
-from riterp import pipeline
+from riterp import pipeline, projection
 from riterp.cli import _config_from_args, _config_keys, build_parser, main
 from riterp.metrics import noise_split
 from riterp.pipeline import (
@@ -41,6 +42,7 @@ from riterp.pipeline import (
     evaluate,
     interp_mask,
     load_scan,
+    point_colors,
     prepare_scan,
     run_pipeline,
     upscale_ri,
@@ -386,6 +388,42 @@ def test_file_chain_scores_equal_the_pipeline_row(method, factor_x, bits, tmp_pa
                                               factor_x=factor_x, bits=bits))
     assert list(scored) == list(SCORE_KEYS)
     assert scored == {key: row[key] for key in SCORE_KEYS}
+
+
+def test_point_colors_mark_the_mask():
+    mask = np.array([True, False, False, True, True])
+    color = point_colors(5, mask)
+    assert color.dtype == np.uint8
+    assert np.array_equal(color, np.where(mask[:, None], INTERP_COLOR, SOURCE_COLOR))
+    assert np.array_equal(point_colors(5), np.tile(SOURCE_COLOR, (5, 1)))
+
+
+@pytest.mark.parametrize("interp", [np.zeros(5, dtype=np.uint8), [0, 1, 0, 1, 1],
+                                    np.zeros(4, dtype=bool), np.zeros((5, 1), dtype=bool)])
+def test_point_colors_reject_a_mask_that_is_not_count_booleans(interp):
+    with pytest.raises(ValueError, match="^interp mask must be a boolean array of 5 entries") as err:
+        point_colors(5, interp)
+    assert "\n" not in str(err.value)
+
+
+def test_score_ris_builds_each_xyz_grid_once(monkeypatch):
+    """Given neither clouds nor grids, as from riterp score --ref-ri/--test-ri,
+    score_ris builds one xyz grid per image for ri_to_cloud and the window
+    search to share."""
+    real, built = projection.xyz_grid, []
+
+    def counting(ri):
+        built.append(ri)
+        return real(ri)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("riterp") and getattr(module, "xyz_grid", None) is real:
+            monkeypatch.setattr(module, "xyz_grid", counting)
+    config = small_config(method="bilinear")
+    ref = cloud_to_ri(synth_scene(0), config.geometry)
+    test = upscale_ri(degrade_ri(ref, 2, 1, None), config)
+    pipeline.score_ris(test, ref, interp_mask(test, 2, 1), config.delta)
+    assert len(built) == 2 and built[0] is test and built[1] is ref
 
 
 class TestRunPipeline:

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from riterp import PointCloud, filter_by_range, read_kitti_bin, read_ply, write_ply
-from riterp.pointcloud import write_kitti_bin
+from riterp import PointCloud, RiGeometry, filter_by_range, read_kitti_bin, read_ply, write_pgm, write_ply
+from riterp.pointcloud import overwrite, write_kitti_bin
 
-from conftest import kitti_scans
+from conftest import kitti_scans, random_ri
 from oracles import decode_kitti_bin, parse_ply
 
 
@@ -368,3 +369,80 @@ class TestReaderProperties:
             return
         held = (len(raw) - body) // stride
         assert np.array_equal(got.points, cloud.points.astype(np.float32)[:held])
+
+
+WRITER_KINDS = ("bin", "ply", "ply-color", "pgm")
+
+
+def write_kind(kind: str, seed: int, path) -> None:
+    """Write a random cloud of seed as a KITTI .bin (with or without
+    intensity), a PLY with or without colour, or a random range image as
+    a PGM."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    cloud = PointCloud(points=rng.uniform(-80, 80, (n, 3)),
+                       intensity=rng.random(n) if rng.random() < 0.5 else None)
+    if kind == "bin":
+        write_kitti_bin(cloud, path)
+    elif kind == "pgm":
+        geom = RiGeometry(width=int(rng.integers(2, 40)), height=int(rng.integers(2, 9)),
+                          pitch_max=2.0, pitch_min=-24.8, min_depth=2.0, max_depth=120.0)
+        write_pgm(random_ri(rng, geom), path)
+    else:
+        write_ply(cloud, path, rng.integers(0, 256, (n, 3), dtype=np.uint8) if kind == "ply-color" else None)
+
+
+class TestWriters:
+    """Every writer rewrites its target in place: the bytes equal a write to
+    a fresh path whatever file was there, the inode and mode are kept,
+    and a device or a directory at the path is handled as open(path, "wb")
+    would."""
+
+    @pytest.mark.parametrize("prior", ["absent", "longer", "shorter", "same"])
+    @pytest.mark.parametrize("kind", WRITER_KINDS)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_overwrite_gives_the_bytes_of_a_fresh_write(self, tmp_path_factory, kind, prior, seed, data):
+        folder = tmp_path_factory.mktemp(kind)
+        write_kind(kind, seed, folder / "fresh")
+        fresh = (folder / "fresh").read_bytes()
+        size = {"absent": None, "same": len(fresh),
+                "longer": len(fresh) + data.draw(st.integers(1, 5000), label="extra"),
+                "shorter": data.draw(st.integers(0, len(fresh) - 1), label="size")}[prior]
+        target = folder / "target"
+        if size is not None:
+            target.write_bytes(np.random.default_rng(seed + 1).bytes(size))
+        write_kind(kind, seed, target)
+        assert target.read_bytes() == fresh
+
+    @pytest.mark.parametrize("kind", WRITER_KINDS)
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path, kind):
+        path, made = tmp_path / "out", tmp_path / "made"
+        write_kind(kind, 0, path)
+        open(made, "wb").close()
+        assert path.stat().st_mode == made.stat().st_mode
+        path.chmod(0o600)
+        inode = path.stat().st_ino
+        write_kind(kind, 1, path)
+        assert (path.stat().st_ino, path.stat().st_mode & 0o777) == (inode, 0o600)
+
+    @pytest.mark.parametrize("kind", WRITER_KINDS)
+    def test_writes_to_devnull(self, kind):
+        write_kind(kind, 0, os.devnull)
+
+    @pytest.mark.parametrize("kind", WRITER_KINDS)
+    def test_directory_in_the_way_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "views.out"
+        path.mkdir()
+        with pytest.raises(OSError) as err:
+            write_kind(kind, 0, path)
+        assert str(path) in str(err.value)
+
+    def test_failed_write_leaves_the_file_cut_where_it_stopped(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(bytes(100))
+        with pytest.raises(RuntimeError, match="^stop$"):
+            with overwrite(path) as fh:
+                fh.write(b"head")
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"head"
