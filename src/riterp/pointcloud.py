@@ -1,4 +1,9 @@
-"""Point cloud container plus KITTI .bin and binary PLY I/O."""
+"""Point cloud container plus KITTI .bin and binary PLY I/O.
+
+Every PGM, PLY and .bin writer encodes its file in one pass and writes it
+through overwrite, in place: a rerun over existing files never empties
+them first, and a crash mid-write can leave old bytes after the new ones.
+"""
 from __future__ import annotations
 
 import os

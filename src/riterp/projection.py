@@ -7,6 +7,7 @@ column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
 xyz_grid lays an RI's points out as the image, padded for the window
 search in metrics; ri_to_cloud selects its points from that grid, so a
 caller that also scores the cloud builds the grid once for both.
+write_pgm writes its view in place, through pointcloud.overwrite.
 """
 from __future__ import annotations
 
@@ -212,10 +213,13 @@ def write_pgm(ri: RangeImage, path: str | Path) -> None:
     scaled *= 65535.0
     np.rint(scaled, out=scaled)
     np.clip(scaled, 0, 65535, out=scaled)
+    # raw PGM is big-endian and row-major; tofile writes an array in any
+    # other layout (an upscaled RI is column-major) one value per call
+    img = scaled.astype(">u2", order="C")
     header = f"P5\n{ri.geometry.width} {ri.geometry.height}\n65535\n"
     with overwrite(path) as fh:
         fh.write(header.encode("ascii"))
-        scaled.astype(">u2").tofile(fh)  # raw PGM is big-endian
+        img.tofile(fh)
 
 
 def save_ri(ri: RangeImage, path: str | Path) -> None:
