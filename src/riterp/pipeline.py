@@ -203,8 +203,7 @@ def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
         return np.broadcast_to(palette[0], (count, 3))
     interp = np.asarray(interp)
     if interp.dtype != bool or interp.shape != (count,):
-        raise ValueError(f"interp mask must be a boolean array of {count} entries, "
-                         f"got {interp.dtype} of shape {interp.shape}")
+        raise ValueError(f"interp mask must be {count} booleans, got {interp.dtype} {interp.shape}")
     return palette.take(interp, axis=0)
 
 

@@ -1,8 +1,6 @@
 """Point cloud container plus KITTI .bin and binary PLY I/O.
 
-Every PGM, PLY and .bin writer encodes its file in one pass and writes it
-through overwrite, in place: a rerun over existing files never empties
-them first, and a crash mid-write can leave old bytes after the new ones.
+overwrite writes every PGM, PLY and .bin file in place.
 """
 from __future__ import annotations
 

@@ -401,7 +401,7 @@ def test_point_colors_mark_the_mask():
 @pytest.mark.parametrize("interp", [np.zeros(5, dtype=np.uint8), [0, 1, 0, 1, 1],
                                     np.zeros(4, dtype=bool), np.zeros((5, 1), dtype=bool)])
 def test_point_colors_reject_a_mask_that_is_not_count_booleans(interp):
-    with pytest.raises(ValueError, match="^interp mask must be a boolean array of 5 entries") as err:
+    with pytest.raises(ValueError, match="^interp mask must be 5 booleans, got ") as err:
         point_colors(5, interp)
     assert "\n" not in str(err.value)
 
