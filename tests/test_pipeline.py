@@ -390,14 +390,6 @@ def test_file_chain_scores_equal_the_pipeline_row(method, factor_x, bits, tmp_pa
     assert scored == {key: row[key] for key in SCORE_KEYS}
 
 
-def test_point_colors_mark_the_mask():
-    mask = np.array([True, False, False, True, True])
-    color = point_colors(5, mask)
-    assert color.dtype == np.uint8
-    assert np.array_equal(color, np.where(mask[:, None], INTERP_COLOR, SOURCE_COLOR))
-    assert np.array_equal(point_colors(5), np.tile(SOURCE_COLOR, (5, 1)))
-
-
 @pytest.mark.parametrize("interp", [np.zeros(5, dtype=np.uint8), [0, 1, 0, 1, 1],
                                     np.zeros(4, dtype=bool), np.zeros((5, 1), dtype=bool)])
 def test_point_colors_reject_a_mask_that_is_not_count_booleans(interp):
