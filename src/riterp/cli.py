@@ -41,7 +41,7 @@ from .pipeline import (
     write_report,
 )
 from .pointcloud import read_ply, write_kitti_bin, write_ply
-from .projection import RiGeometry, cloud_to_ri, load_ri, ri_to_cloud, save_ri, write_pgm
+from .projection import RiGeometry, cloud_to_ri, load_ri, save_ri, write_pgm
 from .synth import synth_scene
 
 _DEFAULTS = PipelineConfig()
@@ -146,38 +146,38 @@ def _cmd_synth(args) -> int:
 
 def _cmd_convert(args) -> int:
     dst = Path(args.output)
+    suffix = dst.suffix.lower()
     writers = {".ply": write_ply, ".bin": write_kitti_bin, ".npz": save_ri, ".pgm": write_pgm}
-    if dst.suffix not in writers:
+    if suffix not in writers:
         raise SystemExit(f"error: unsupported output format {dst.suffix!r}")
     data = load_scan(args.input)
-    if dst.suffix in (".npz", ".pgm"):  # range image outputs
+    if suffix in (".npz", ".pgm"):  # range image outputs
         data = cloud_to_ri(data, RiGeometry(**{name: getattr(args, name) for name in _GEOMETRY}))
-    writers[dst.suffix](data, dst)
-    print(f"wrote {dst}")
+    written = writers[suffix](data, dst)  # save_ri returns the path np.savez named
+    print(f"wrote {written or dst}")
+    return 0
+
+
+def _write_ri(out, args) -> int:
+    """degrade's and interp's output: the RI, and with --pgm its view."""
+    written = save_ri(out, args.output)
+    if args.pgm:
+        write_pgm(out, Path(args.output).with_suffix(".pgm"))
+    print(f"wrote {written}")
     return 0
 
 
 def _cmd_degrade(args) -> int:
-    out = degrade_ri(load_ri(args.input), args.factor_x, args.factor_y, args.bits)
-    save_ri(out, args.output)
-    if args.pgm:
-        write_pgm(out, Path(args.output).with_suffix(".pgm"))
-    print(f"wrote {args.output}")
-    return 0
+    return _write_ri(degrade_ri(load_ri(args.input), args.factor_x, args.factor_y, args.bits), args)
 
 
 def _cmd_interp(args) -> int:
-    out = upscale_ri(load_ri(args.input), args)  # the flags carry the config's field names
-    save_ri(out, args.output)
-    if args.pgm:
-        write_pgm(out, Path(args.output).with_suffix(".pgm"))
-    print(f"wrote {args.output}")
-    return 0
+    return _write_ri(upscale_ri(load_ri(args.input), args), args)  # flags named as config fields
 
 
 def _cmd_reconstruct(args) -> int:
     ri = load_ri(args.input)
-    cloud = ri_to_cloud(ri)
+    cloud = ri.cloud
     color = None
     if args.mark_interp:
         color = point_colors(len(cloud), interp_mask(ri, args.factor_x, args.factor_y))

@@ -1,8 +1,9 @@
 """2D and 3D fidelity metrics: SSIM over RIs, nearest-neighbor noise
 classification, and chamfer distance between clouds.
 
-Nearest neighbours are exact and use the range image as their index when
-both clouds come from RIs of one geometry: each point climbs one ladder
+Nearest neighbours are exact, between the clouds of two RIs (their
+RangeImage.cloud), and use the range image as their index when the two
+share a geometry: each point climbs one ladder
 of windows around its own pixel (columns wrap at the +-pi seam). Rung 0,
 the point's own row, is searched densely for both clouds at once, over
 the fewest columns that certify as far as the 7 of the 3 x 7 window do
@@ -14,14 +15,15 @@ visits lasts (LADDER_PASSES for the reference cloud, TEST_LADDER_PASSES
 for the test cloud). A rung's minimum is exact when it is below the
 point's depth times window_radius, the sine of the least angle to any
 ray outside the window. Every rung reads the points from the two images'
-padded xyz grids (projection.xyz_grid, NaN at EMPTY), which callers that
-already built them pass in: rung 0 as band slices, rung 1 through a
-table of offsets into the padding, the wider rungs through clamped and
-wrapped pixel indices. KdTree (scipy's cKDTree, built at its first
-non-empty query) resolves the points still without an answer, and
+padded xyz grids (RangeImage.xyz, NaN at EMPTY), which each image builds
+once for its cloud and every search: rung 0 as band slices, rung 1
+through a table of offsets into the padding, the wider rungs through
+clamped and wrapped pixel indices. KdTree (scipy's cKDTree, built at its
+first non-empty query) resolves the points still without an answer, and
 every point when the geometries differ. scipy is imported at that first
 build, not with this module, so importing riterp and scoring a scan whose
-ladders certify every point never load it.
+ladders certify every point never load it. chamfer scores two plain
+clouds with the k-d trees alone.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import math
 import numpy as np
 
 from .pointcloud import PointCloud
-from .projection import WINDOW_COLS, WINDOW_ROWS, RangeImage, RiGeometry, xyz_grid
+from .projection import WINDOW_COLS, WINDOW_ROWS, RangeImage, RiGeometry
 
 SSIM_WINDOW = 8
 SSIM_K1 = 0.01
@@ -197,20 +199,18 @@ def _gathered_minima(grid: np.ndarray, q: np.ndarray, index: np.ndarray) -> np.n
     return np.fmin.reduce(d2, axis=1, initial=np.inf)  # fmin: NaN loses
 
 
-def _centre_row_minima(grid_a: np.ndarray, grid_b: np.ndarray, occupied_a: np.ndarray,
-                       occupied_b: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared minima, per point of a and of b, over the other cloud's
-    points in the point's own row within `cols` columns (wrapped at the
-    +-pi seam), at most WINDOW_COLS. grid_a and grid_b are the xyz_grids
-    of two images of one geometry at least 2 WINDOW_COLS + 1 wide, whose
-    occupied masks are occupied_a and occupied_b.
+def _centre_row_minima(a: RangeImage, b: RangeImage, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared minima, per point of a's cloud and of b's, over the other
+    cloud's points in the point's own row within `cols` columns (wrapped
+    at the +-pi seam), at most WINDOW_COLS. a and b share one geometry at
+    least 2 WINDOW_COLS + 1 wide.
 
     One dense pass over band slices of the two grids, in bands of rows,
     serves both directions, since d(p, q) = d(q, p); distances are
     (dx^2 + dy^2) + dz^2 in float64, like cKDTree's. Its scratch is freed
     on return.
     """
-    h, w = occupied_a.shape
+    h, w = a.depth.shape
     pr, pc = WINDOW_ROWS, WINDOW_COLS
     # squared centre-row minima at every pixel of a, and of b padded like
     # b's band slices; the padding columns are folded back across the seam below
@@ -218,8 +218,8 @@ def _centre_row_minima(grid_a: np.ndarray, grid_b: np.ndarray, occupied_a: np.nd
     min_b = np.full((h, w + 2 * cols), np.inf)
     for r0 in range(0, h, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, h)
-        band_a = grid_a[:, pr + r0:pr + r1, pc:pc + w]
-        band_b = grid_b[:, pr + r0:pr + r1, pc - cols:pc + w + cols]
+        band_a = a.xyz[:, pr + r0:pr + r1, pc:pc + w]
+        band_b = b.xyz[:, pr + r0:pr + r1, pc - cols:pc + w + cols]
         diff = np.empty(band_a.shape)
         d2 = np.empty(band_a.shape[1:])
         for du in range(2 * cols + 1):
@@ -233,17 +233,17 @@ def _centre_row_minima(grid_a: np.ndarray, grid_b: np.ndarray, occupied_a: np.nd
     core_b = min_b[:, cols:cols + w]
     np.fmin(core_b[:, w - cols:], min_b[:, :cols], out=core_b[:, w - cols:])
     np.fmin(core_b[:, :cols], min_b[:, w + cols:], out=core_b[:, :cols])
-    return min_a[occupied_a], core_b[occupied_b]
+    return min_a[a.occupied], core_b[b.occupied]
 
 
-def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray, other: np.ndarray,
+def _ladder(ri: RangeImage, minima: np.ndarray, other: RangeImage,
             passes: float) -> tuple[np.ndarray, int]:
-    """Distances from ri's points p to the other cloud's points that the
-    window ladder certifies, NaN elsewhere, and how many points rung 1
-    left uncertified.
+    """Distances from the points of ri's cloud to other's that the window
+    ladder certifies, NaN elsewhere, and how many points rung 1 left
+    uncertified.
 
-    `minima` are p's squared _centre_row_minima over _centre_row_cols(g)
-    columns; `other` is the other cloud's xyz_grid, over ri's geometry g.
+    `minima` are the points' squared _centre_row_minima over
+    _centre_row_cols(g) columns; other shares ri's geometry g.
     Rung k searches the pixels within (rows, cols) of each point's pixel
     for the points the rungs before it left, and certifies a minimum below
     depth * window_radius(g, rows, cols), less the slack. Rung 0 is the
@@ -257,7 +257,7 @@ def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray, other: np.ndarray
     """
     g = ri.geometry
     h, w = g.height, g.width
-    occupied = ri.occupied
+    occupied, p, grid = ri.occupied, ri.cloud.points, other.xyz
     depth = ri.depth[occupied]
     d = np.sqrt(minima)  # rung 0
     left = np.flatnonzero(~(d < depth * (window_radius(g, 0, WINDOW_COLS) * (1.0 - _CERT_SLACK))))
@@ -286,7 +286,7 @@ def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray, other: np.ndarray
                 rows_at[(rows_at < 0) | (rows_at >= h)] = h
                 index = (((rows_at + WINDOW_ROWS) * stride)[:, :, None]
                          + ((u[part, None] + du) % w + WINDOW_COLS)[:, None, :])
-            found[part] = _gathered_minima(other, p[left[part]], index.reshape(-1, size))
+            found[part] = _gathered_minima(grid, p[left[part]], index.reshape(-1, size))
         minima = np.minimum(minima, found)
         found = np.sqrt(minima)
         sure = found < depth[left] * (window_radius(g, rows, cols) * (1.0 - _CERT_SLACK))
@@ -303,50 +303,42 @@ def _ladder(ri: RangeImage, p: np.ndarray, minima: np.ndarray, other: np.ndarray
             return d, n_left
 
 
-def nn_distances(
-    a: PointCloud,
-    b: PointCloud,
-    tree_b: KdTree | None = None,
-    ris: tuple[RangeImage, RangeImage] | None = None,
-    grids: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Exact nearest-neighbour distances in both directions, a -> b and
-    b -> a, the number of points the 3 x 7 window did not certify, and
+def nn_distances(a: RangeImage, b: RangeImage,
+                 tree_b: KdTree | None = None) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Exact nearest-neighbour distances between a.cloud and b.cloud, a -> b
+    and b -> a, the number of points the 3 x 7 window did not certify, and
     the number of those the k-d trees resolved.
 
-    `ris`, the range images that a and b were reconstructed from with
-    ri_to_cloud, lets the window ladder settle most points when they share
-    a geometry at least 2 WINDOW_COLS + 1 wide: one _centre_row_minima
-    pass serves both clouds, then each cloud climbs its own _ladder on
-    through widening windows, a's (the test cloud's) for up to
-    TEST_LADDER_PASSES passes and b's for up to LADDER_PASSES. The k-d
-    trees resolve the points left, and every point when the ladder does
-    not apply. `tree_b`, a KdTree over b made beforehand, is used instead
-    of making one and is queried even with no point left; since a KdTree
+    When a and b share a geometry at least 2 WINDOW_COLS + 1 wide, the
+    window ladder settles most points: one _centre_row_minima pass serves
+    both clouds, then each cloud climbs its own _ladder on through
+    widening windows, a's (the test cloud's) for up to TEST_LADDER_PASSES
+    passes and b's for up to LADDER_PASSES. The k-d trees resolve the
+    points left, and every point when the ladder does not apply.
+    `tree_b`, a KdTree over b.cloud made beforehand, is used instead of
+    making one and is queried even with no point left; since a KdTree
     builds its tree at its first non-empty query, no tree over b is built
-    when every point of a is certified. A KdTree over a is made only if
-    some point of b is left after the ladder. `grids`, the xyz_grids of
-    the two ris made beforehand, are built here unless given.
+    when every point of a is certified. A KdTree over a.cloud is made only
+    if some point of b is left after the ladder.
     """
-    if len(a) == 0 or len(b) == 0:
+    ca, cb = a.cloud, b.cloud
+    if len(ca) == 0 or len(cb) == 0:
         raise ValueError("nearest-neighbor distances require two non-empty clouds")
-    g = None if ris is None else ris[0].geometry
-    if g is not None and g == ris[1].geometry and g.width >= 2 * WINDOW_COLS + 1:
-        grid_a, grid_b = grids or (xyz_grid(ris[0]), xyz_grid(ris[1]))
-        min_a, min_b = _centre_row_minima(grid_a, grid_b, ris[0].occupied, ris[1].occupied,
-                                          _centre_row_cols(g))
-        d_ab, left_a = _ladder(ris[0], a.points, min_a, grid_b, TEST_LADDER_PASSES)
-        d_ba, left_b = _ladder(ris[1], b.points, min_b, grid_a, LADDER_PASSES)
+    g = a.geometry
+    if g == b.geometry and g.width >= 2 * WINDOW_COLS + 1:
+        min_a, min_b = _centre_row_minima(a, b, _centre_row_cols(g))
+        d_ab, left_a = _ladder(a, min_a, b, TEST_LADDER_PASSES)
+        d_ba, left_b = _ladder(b, min_b, a, LADDER_PASSES)
         n_fallback = left_a + left_b
     else:
-        d_ab, d_ba = np.full(len(a), np.nan), np.full(len(b), np.nan)
-        n_fallback = len(a) + len(b)
+        d_ab, d_ba = np.full(len(ca), np.nan), np.full(len(cb), np.nan)
+        n_fallback = len(ca) + len(cb)
     ask_a, ask_b = np.isnan(d_ab), np.isnan(d_ba)
     if tree_b is None:
-        tree_b = KdTree(b)
-    d_ab[ask_a] = tree_b.query(a.points[ask_a])[0]
+        tree_b = KdTree(cb)
+    d_ab[ask_a] = tree_b.query(ca.points[ask_a])[0]
     if ask_b.any():
-        d_ba[ask_b] = KdTree(a).query(b.points[ask_b])[0]
+        d_ba[ask_b] = KdTree(ca).query(cb.points[ask_b])[0]
     return d_ab, d_ba, n_fallback, int(np.count_nonzero(ask_a) + np.count_nonzero(ask_b))
 
 
@@ -372,6 +364,8 @@ def mean_chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
 
 
 def chamfer(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric mean nearest-neighbor distance between two clouds."""
-    d_ab, d_ba, _, _ = nn_distances(a, b)
-    return mean_chamfer(d_ab, d_ba)
+    """Symmetric mean nearest-neighbor distance between two clouds, from a
+    KdTree over each."""
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("nearest-neighbor distances require two non-empty clouds")
+    return mean_chamfer(KdTree(b).query(a.points)[0], KdTree(a).query(b.points)[0])

@@ -11,9 +11,11 @@ cloud reconstructed from the reference RI (which contains every source
 point the degraded image kept, when quantization is off).
 
 prepare_scan runs the stages that no degradation or interpolation setting
-changes (through the reference RI, its xyz grid and cloud, its k-d tree
-index and its half of SSIM) once per scan; evaluate runs the rest for
-one config, so sweep cells share them. The index builds its tree in the
+changes (through the reference RI and its cloud, its k-d tree index and
+its half of SSIM) once per scan; evaluate runs the rest for one config,
+so sweep cells share them. Each image builds its xyz grid and cloud
+once (RangeImage.xyz and .cloud), and scoring and the artifact writer
+read them from it. The index builds its tree in the
 first cell that queries it, if any does. STAGE_FIELDS says which config
 fields each stage reads: prefix_key and cell_key are read from it, and a
 sweep evaluates each distinct cell of a scan once. sweep is the one loop
@@ -38,8 +40,7 @@ from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, 
 from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometry, quantize
 from .metrics import KdTree, check_delta, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
 from .pointcloud import PointCloud, check_range, filter_by_range, read_kitti_bin, read_ply, write_ply
-from .projection import (KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, ri_to_cloud,
-                         write_pgm, xyz_grid)
+from .projection import KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, write_pgm
 from .synth import synth_scene
 
 METHODS = ("none", *SUPPORT, "gradient")
@@ -186,7 +187,7 @@ def upscale_ri(ri: RangeImage, config: PipelineConfig) -> RangeImage | None:
 
 
 def interp_mask(ri: RangeImage, factor_x: int, factor_y: int = 1) -> np.ndarray:
-    """Per-point flags for ri_to_cloud output: True where the pixel was
+    """Per-point flags for ri.cloud: True where the pixel was
     created by upscaling (column or row not a multiple of its factor)."""
     check_factors(factor_x, factor_y)
     g = ri.geometry
@@ -208,23 +209,16 @@ def point_colors(count: int, interp: np.ndarray | None = None) -> np.ndarray:
 
 
 def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, delta: float,
-              ref_tree: KdTree | None = None, ref_ssim: tuple | None = None,
-              clouds: tuple[PointCloud, PointCloud] | None = None,
-              grids: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
+              ref_tree: KdTree | None = None, ref_ssim: tuple | None = None) -> dict:
     """The score stage: test_ri against ref_ri, as the report's ssim,
     noise_ratio, chamfer, densify_count, interp_points, nn_fallback_points
     and nn_tree_points. noise_ratio and densify_count split the points
     that mask (test_ri's interp_mask; None for method none, which gives
     None and 0) marks: the fraction farther than delta from every reference
     point, and the number within delta, which must be > 0. ref_tree (a
-    KdTree over ref_ri's cloud), ref_ssim (ssim_terms(ref_ri)), clouds
-    (ri_to_cloud of test_ri and ref_ri) and grids (their xyz_grids) are
-    made here unless given."""
+    KdTree over ref_ri.cloud) and ref_ssim (ssim_terms(ref_ri)) are made
+    here unless given."""
     check_delta(delta)
-    if clouds is None:  # one grid per image, for ri_to_cloud and the window search
-        grids = grids or (xyz_grid(test_ri), xyz_grid(ref_ri))
-        clouds = ri_to_cloud(test_ri, grids[0]), ri_to_cloud(ref_ri, grids[1])
-    test_cloud, ref_cloud = clouds
     tg, rg = test_ri.geometry, ref_ri.geometry
     if tg == rg:
         ssim_score = ssim(test_ri, ref_ri, ref_ssim)
@@ -233,8 +227,7 @@ def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, 
                                                  max(rg.height // tg.height, 1)))
     # exact distances per direction: the range-image windows where they
     # certify them, the k-d trees for the rest
-    d_test, d_ref, n_fallback, n_tree = nn_distances(test_cloud, ref_cloud, ref_tree,
-                                                     (test_ri, ref_ri), grids)
+    d_test, d_ref, n_fallback, n_tree = nn_distances(test_ri, ref_ri, ref_tree)
     ratio, densify = (None, 0) if mask is None else noise_split(d_test[mask], delta)
     n_interp = 0 if mask is None else int(np.count_nonzero(mask))
     return {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),
@@ -258,17 +251,14 @@ def _stage(timings: dict[str, float], stage: str):
 class ScanContext:
     """One scan's cell-independent prefix, built by prepare_scan.
 
-    ref_tree builds its k-d tree at its first query with points, so the
-    first cell that leaves a test point to it pays for the build in its
-    score time, and the later cells reuse it."""
+    ref_tree, over ref_ri.cloud, builds its k-d tree at its first query
+    with points, so the first cell that leaves a test point to it pays for
+    the build in its score time, and the later cells reuse it."""
 
     spec: str
     key: tuple
     points_in: int
     ref_ri: RangeImage
-    #: xyz_grid(ref_ri), which ref_cloud was selected from
-    ref_grid: np.ndarray
-    ref_cloud: PointCloud
     ref_tree: KdTree
     #: ssim_terms(ref_ri)
     ref_ssim: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -279,10 +269,10 @@ class ScanContext:
 
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     """Run ingest, filter and project on one input, and make the
-    reference's xyz grid and cloud, its KdTree (whose tree is built later,
-    when first queried) and its SSIM terms. Raises StageError with the
-    failing stage's name; the grid and the cloud count as reconstruct
-    time, the KdTree and the SSIM terms as score time."""
+    reference's cloud, its KdTree (whose tree is built later, when first
+    queried) and its SSIM terms. Raises StageError with the failing
+    stage's name; the cloud counts as reconstruct time, the KdTree and
+    the SSIM terms as score time."""
     timings: dict[str, float] = {}
     with _stage(timings, "ingest"):
         cloud = load_scan(spec)
@@ -298,23 +288,23 @@ def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
                              f"[{g.pitch_min}, {g.pitch_max}] deg and depth clamp "
                              f"[{g.min_depth}, {g.max_depth}]")
     with _stage(timings, "reconstruct"):
-        ref_grid = xyz_grid(ref_ri)
-        ref_cloud = ri_to_cloud(ref_ri, ref_grid)
+        ref_cloud = ref_ri.cloud
     with _stage(timings, "score"):
         ref_tree, ref_ssim = KdTree(ref_cloud), ssim_terms(ref_ri)
-    return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_grid, ref_cloud,
-                       ref_tree, ref_ssim, timings)
+    return ScanContext(spec, prefix_key(spec, config), len(cloud), ref_ri, ref_tree, ref_ssim,
+                       timings)
 
 
 def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     """Run degrade, interp, reconstruct and score for one config against a
     prepared scan.
 
-    Returns (report, artifacts); artifacts maps name -> RangeImage /
-    (PointCloud, interp_mask) pairs for the writer. The report's scores
-    and counts are score_ris's, on the xyz grid, cloud and mask that
-    reconstruct made and the context's grid, tree and SSIM terms. The
-    first report from a context also carries the stage times prepare_scan
+    Returns (report, artifacts): artifacts maps reference, degraded and
+    upscaled (None for method none) to their images, and interp_mask to
+    the test image's mask, for write_artifacts. The report's scores and
+    counts are score_ris's, on the test image (whose cloud reconstruct
+    builds), its mask, and the context's tree and SSIM terms. The first
+    report from a context also carries the stage times prepare_scan
     spent; later ones read 0.0 for the stages they reused. Raises
     StageError with the failing stage's name, and ValueError if config's
     prefix key differs from the context's.
@@ -322,19 +312,16 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     if prefix_key(ctx.spec, config) != ctx.key:
         raise ValueError(f"{ctx.spec}: scan context was prepared for another range or geometry")
     timings = dict.fromkeys(STAGES, 0.0)
-    ref_ri, ref_cloud = ctx.ref_ri, ctx.ref_cloud
     with _stage(timings, "degrade"):
-        deg_ri = degrade_ri(ref_ri, config.factor_x, config.factor_y, config.bits)
+        deg_ri = degrade_ri(ctx.ref_ri, config.factor_x, config.factor_y, config.bits)
     with _stage(timings, "interp"):
         up_ri = upscale_ri(deg_ri, config)
     with _stage(timings, "reconstruct"):
         test_ri = up_ri if up_ri is not None else deg_ri
-        test_grid = xyz_grid(test_ri)
-        test_cloud = ri_to_cloud(test_ri, test_grid)
+        test_cloud = test_ri.cloud
         mask = interp_mask(test_ri, config.factor_x, config.factor_y) if up_ri is not None else None
     with _stage(timings, "score"):
-        scores = score_ris(test_ri, ref_ri, mask, config.delta, ctx.ref_tree, ctx.ref_ssim,
-                           (test_cloud, ref_cloud), (test_grid, ctx.ref_grid))
+        scores = score_ris(test_ri, ctx.ref_ri, mask, config.delta, ctx.ref_tree, ctx.ref_ssim)
     for stage, ms in ctx.pending_ms.items():
         timings[stage] += ms
     ctx.pending_ms = {}
@@ -342,7 +329,7 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     report = dict(config.echo())
     report["input"] = ctx.spec
     report.update(scores)
-    report["ref_occupancy"] = occupancy(ref_ri)
+    report["ref_occupancy"] = occupancy(ctx.ref_ri)
     report["degraded_occupancy"] = occupancy(deg_ri)
     report["test_occupancy"] = occupancy(test_ri)
     report["points_in"] = ctx.points_in
@@ -353,13 +340,7 @@ def evaluate(ctx: ScanContext, config: PipelineConfig) -> tuple[dict, dict]:
     for stage, ms in timings.items():
         report[f"time_{stage}_ms"] = ms
 
-    artifacts = {
-        "reference": ref_ri,
-        "degraded": deg_ri,
-        "upscaled": up_ri,
-        "ref_cloud": (ref_cloud, None),
-        "test_cloud": (test_cloud, mask),
-    }
+    artifacts = {"reference": ctx.ref_ri, "degraded": deg_ri, "upscaled": up_ri, "interp_mask": mask}
     return report, artifacts
 
 
@@ -371,16 +352,19 @@ def run_scan(spec: str, config: PipelineConfig) -> tuple[dict, dict]:
 
 
 def write_artifacts(label: str, artifacts: dict, out_dir: Path) -> None:
-    """PGM views of every RI stage and PLY clouds with interpolated points
-    colored for visual inspection, as <label>_<name>.pgm/.ply in out_dir."""
+    """PGM views of every RI stage of evaluate's artifacts, and the clouds
+    of the reference and test images (the upscaled one, or the degraded
+    one for method none) with interpolated points colored for visual
+    inspection, as <label>_<name>.pgm/.ply in out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("reference", "degraded", "upscaled"):
         ri = artifacts[name]
         if ri is not None:
             write_pgm(ri, out_dir / f"{label}_{name}.pgm")
-    for name in ("ref_cloud", "test_cloud"):
-        cloud, mask = artifacts[name]
-        write_ply(cloud, out_dir / f"{label}_{name}.ply", color=point_colors(len(cloud), mask))
+    test_ri = artifacts["degraded"] if artifacts["upscaled"] is None else artifacts["upscaled"]
+    for name, ri, mask in (("ref_cloud", artifacts["reference"], None),
+                           ("test_cloud", test_ri, artifacts["interp_mask"])):
+        write_ply(ri.cloud, out_dir / f"{label}_{name}.ply", color=point_colors(len(ri.cloud), mask))
 
 
 def run_pipeline(config: PipelineConfig) -> list[dict]:
@@ -460,6 +444,7 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
                 write_artifacts(label, artifacts, Path(cell.out_dir))
             except OSError as err:  # its message names the file
                 rows[index] = {**row, "error": f"write: {err}"}
+        del artifacts  # the test image and its grid and cloud, before the next cell's
 
 
 def sweep(config: PipelineConfig, grid: dict[str, list]) -> list[dict]:

@@ -5,8 +5,9 @@ indexed by elevation (rows, top = pitch_max) and azimuth (columns, yaw pi at
 column 0 decreasing to -pi). Pixels with no return hold the EMPTY sentinel.
 
 xyz_grid lays an RI's points out as the image, padded for the window
-search in metrics; ri_to_cloud selects its points from that grid, so a
-caller that also scores the cloud builds the grid once for both.
+search in metrics, and ri_to_cloud selects its points from that grid. A
+RangeImage owns its depth grid, read-only and row-major, and builds each
+of the two once, as its xyz and cloud, for every reader to share.
 write_pgm writes its view in place, through pointcloud.overwrite.
 """
 from __future__ import annotations
@@ -81,7 +82,7 @@ KITTI_GEOMETRY = RiGeometry(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RangeImage:
     """Dense depth grid over an RiGeometry; EMPTY marks missing returns.
 
@@ -89,6 +90,10 @@ class RangeImage:
     through float32 (sensor precision), which keeps reconstruction followed
     by re-projection bit-stable; derived images (quantized, interpolated)
     may hold arbitrary float64 values.
+
+    The image is frozen and keeps the depth array it is given, made
+    read-only (a copy if it is not C-contiguous float64), so xyz and cloud,
+    each built at its first read, never go stale.
     """
 
     geometry: RiGeometry
@@ -96,7 +101,7 @@ class RangeImage:
 
     def __post_init__(self):
         g = self.geometry
-        grid = np.asarray(self.depth, dtype=np.float64)
+        grid = np.require(self.depth, dtype=np.float64, requirements="C")
         if grid.shape != (g.height, g.width):
             raise ValueError(f"depth grid shape {grid.shape} != ({g.height}, {g.width})")
         if not np.isfinite(grid).all():
@@ -108,12 +113,27 @@ class RangeImage:
                 f"non-empty depths must lie in [{g.min_depth}, {g.max_depth}], "
                 f"got [{values.min()}, {values.max()}]"
             )
-        self.depth = grid
+        grid.flags.writeable = False
+        object.__setattr__(self, "depth", grid)
 
     @property
     def occupied(self) -> np.ndarray:
         """Boolean mask of non-EMPTY pixels."""
         return self.depth != EMPTY
+
+    @cached_property
+    def xyz(self) -> np.ndarray:
+        """xyz_grid(self), read-only."""
+        grid = xyz_grid(self)
+        grid.flags.writeable = False
+        return grid
+
+    @cached_property
+    def cloud(self) -> PointCloud:
+        """ri_to_cloud(self), its points read-only."""
+        cloud = ri_to_cloud(self)
+        cloud.points.flags.writeable = False
+        return cloud
 
 
 def cloud_to_ri(cloud: PointCloud, geom: RiGeometry) -> RangeImage:
@@ -184,16 +204,14 @@ def xyz_grid(ri: RangeImage) -> np.ndarray:
     return grid
 
 
-def ri_to_cloud(ri: RangeImage, grid: np.ndarray | None = None) -> PointCloud:
+def ri_to_cloud(ri: RangeImage) -> PointCloud:
     """Emit one point per non-empty pixel along the pixel-center ray.
 
     Output order is row-major over the grid; np.nonzero(ri.occupied)
     gives the matching (row, column) indices. The points are selected from
-    grid, xyz_grid(ri), which is built here unless given.
+    ri.xyz.
     """
-    if grid is None:
-        grid = xyz_grid(ri)
-    image = grid[:, WINDOW_ROWS:-WINDOW_ROWS, WINDOW_COLS:-WINDOW_COLS]
+    image = ri.xyz[:, WINDOW_ROWS:-WINDOW_ROWS, WINDOW_COLS:-WINDOW_COLS]
     occupied = ri.occupied
     points = np.empty((np.count_nonzero(occupied), 3))
     for axis in range(3):
@@ -213,19 +231,21 @@ def write_pgm(ri: RangeImage, path: str | Path) -> None:
     scaled *= 65535.0
     np.rint(scaled, out=scaled)
     np.clip(scaled, 0, 65535, out=scaled)
-    # raw PGM is big-endian and row-major; tofile writes an array in any
-    # other layout (an upscaled RI is column-major) one value per call
-    img = scaled.astype(">u2", order="C")
+    img = scaled.astype(">u2")  # raw PGM is big-endian
     header = f"P5\n{ri.geometry.width} {ri.geometry.height}\n65535\n"
     with overwrite(path) as fh:
         fh.write(header.encode("ascii"))
         img.tofile(fh)
 
 
-def save_ri(ri: RangeImage, path: str | Path) -> None:
-    """Lossless on-disk RI (.npz) for chaining CLI stages."""
+def save_ri(ri: RangeImage, path: str | Path) -> Path:
+    """Lossless on-disk RI (.npz) for chaining CLI stages. Returns the path
+    written: path, with .npz appended unless it ends in it, as np.savez
+    names the file."""
+    path = Path(path if str(path).endswith(".npz") else f"{path}.npz")
     g = ri.geometry
     np.savez(path, depth=ri.depth, **{f.name: getattr(g, f.name) for f in fields(g)})
+    return path
 
 
 def load_ri(path: str | Path) -> RangeImage:

@@ -87,6 +87,13 @@ class TestUpscaleBaseline:
         assert out.geometry.pitch_max == small_geometry.pitch_max
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_output_depth_is_row_major(self, method, small_geometry):
+        """The kernel sums come out column-major; the image holds them in
+        C order, the layout the xyz grid, the cloud and SSIM read fastest."""
+        ri = random_ri(np.random.default_rng(2), small_geometry)
+        assert upscale_baseline(ri, method, 2, 1).depth.flags.c_contiguous
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_matches_brute_force_oracle(self, method, small_geometry):
         rng = np.random.default_rng(99)
         for _ in range(100):

@@ -15,7 +15,6 @@ from riterp import (
     RiGeometry,
     chamfer,
     downsample_ri,
-    ri_to_cloud,
     ssim,
 )
 from riterp import metrics
@@ -267,41 +266,36 @@ class TestNnDistances:
     def test_shared_pixels_score_zero_in_the_window(self):
         rng = np.random.default_rng(15)
         a = random_ri(rng, GEOM_16)
-        b = random_ri(rng, GEOM_16)
-        b.depth[:8] = a.depth[:8]
-        ca, cb = ri_to_cloud(a), ri_to_cloud(b)
-        d_a, d_b, fallback, _ = nn_distances(ca, cb, ris=(a, b))
+        depth = random_ri(rng, GEOM_16).depth.copy()
+        depth[:8] = a.depth[:8]
+        b = RangeImage(GEOM_16, depth)
+        d_a, d_b, fallback, _ = nn_distances(a, b)
         shared = np.count_nonzero(a.occupied[:8])  # rows 0-7 come first in cloud order
         assert np.all(d_a[:shared] == 0.0) and np.all(d_b[:shared] == 0.0)
-        assert fallback <= len(ca) + len(cb) - 2 * shared  # no shared point falls back
+        assert fallback <= len(a.cloud) + len(b.cloud) - 2 * shared  # no shared point falls back
         coarse = downsample_ri(b, 2, 1)
-        cc = ri_to_cloud(coarse)
-        assert nn_distances(ca, cc, ris=(a, coarse))[2] == len(ca) + len(cc)
+        assert nn_distances(a, coarse)[2] == len(a.cloud) + len(coarse.cloud)
 
-    def test_equal_brute_force_with_and_without_range_images(self):
+    def test_window_ladder_equals_brute_force(self):
         rng = np.random.default_rng(14)
         a = random_ri(rng, GEOM_16)
-        b = random_ri(rng, GEOM_16)
-        b.depth[::2] = a.depth[::2]
-        ca, cb = ri_to_cloud(a), ri_to_cloud(b)
-        total = len(ca) + len(cb)
-        d_ab, d_ba, fallback, tree = nn_distances(ca, cb, ris=(a, b))
+        depth = random_ri(rng, GEOM_16).depth.copy()
+        depth[::2] = a.depth[::2]
+        b = RangeImage(GEOM_16, depth)
+        ca, cb = a.cloud, b.cloud
+        d_ab, d_ba, fallback, tree = nn_distances(a, b)
         assert np.array_equal(d_ab, brute_nn_dists(ca.points, cb.points))
         assert np.array_equal(d_ba, brute_nn_dists(cb.points, ca.points))
-        assert 0 < fallback < total and tree <= fallback
-        plain = nn_distances(ca, cb)
-        assert np.array_equal(plain[0], d_ab) and np.array_equal(plain[1], d_ba)
-        assert plain[2] == plain[3] == total
+        assert 0 < fallback < len(ca) + len(cb) and tree <= fallback
 
     def test_given_tree_is_queried_even_with_nothing_left(self, monkeypatch):
         a = random_ri(np.random.default_rng(16), GEOM_16)
-        cloud = ri_to_cloud(a)
-        tree = KdTree(cloud)
+        tree = KdTree(a.cloud)
         queried = []
         monkeypatch.setattr(tree, "query", lambda pts: queried.append(len(pts)) or (np.zeros(0), None))
         built = []
         monkeypatch.setattr(metrics, "KdTree", lambda c: built.append(c))
-        d_ab, d_ba, fallback, in_tree = nn_distances(cloud, cloud, tree, (a, a))
+        d_ab, d_ba, fallback, in_tree = nn_distances(a, a, tree)
         assert queried == [0] and not built and fallback == in_tree == 0
         assert not d_ab.any() and not d_ba.any()
 

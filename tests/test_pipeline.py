@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import fields, replace
@@ -274,7 +275,7 @@ class TestRunScan:
         report, artifacts = run_scan("synth:3", small_config(inputs=["synth:3"], method=method))
         test_ri = artifacts["degraded"] if artifacts["upscaled"] is None else artifacts["upscaled"]
         ref_ri = artifacts["reference"]
-        test_cloud, ref_cloud = artifacts["test_cloud"][0], artifacts["ref_cloud"][0]
+        test_cloud, ref_cloud = test_ri.cloud, ref_ri.cloud
         total = report["points_out"] + len(ref_cloud)
         certified = 0
         if test_ri.geometry == ref_ri.geometry:
@@ -297,7 +298,7 @@ class TestRunScan:
         built = count_builds(monkeypatch)
         config = PipelineConfig(inputs=["synth:0"], method=method, no_artifacts=True)
         report, artifacts = run_scan("synth:0", config)
-        assert len(built) == 1 and np.array_equal(built[0], artifacts["ref_cloud"][0].points)
+        assert len(built) == 1 and np.array_equal(built[0], artifacts["reference"].cloud.points)
         assert 0 < report["nn_tree_points"] < report["nn_fallback_points"]
 
     def test_exact_gradient_scan_builds_no_tree(self, monkeypatch):
@@ -398,24 +399,48 @@ def test_point_colors_reject_a_mask_that_is_not_count_booleans(interp):
     assert "\n" not in str(err.value)
 
 
-def test_score_ris_builds_each_xyz_grid_once(monkeypatch):
-    """Given neither clouds nor grids, as from riterp score --ref-ri/--test-ri,
-    score_ris builds one xyz grid per image for ri_to_cloud and the window
-    search to share."""
-    real, built = projection.xyz_grid, []
+def count_projection_calls(monkeypatch, name: str) -> list:
+    """Record the image of every call to projection's function `name`,
+    through whichever riterp module global calls it."""
+    real, calls = getattr(projection, name), []
 
     def counting(ri):
-        built.append(ri)
+        calls.append(ri)
         return real(ri)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("riterp") and getattr(module, "xyz_grid", None) is real:
-            monkeypatch.setattr(module, "xyz_grid", counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("riterp") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_score_ris_builds_each_xyz_grid_once(monkeypatch):
+    """From two bare images, as from riterp score --ref-ri/--test-ri,
+    score_ris builds one xyz grid and one cloud per image, which the
+    window search and the k-d trees share."""
+    grids = count_projection_calls(monkeypatch, "xyz_grid")
+    clouds = count_projection_calls(monkeypatch, "ri_to_cloud")
     config = small_config(method="bilinear")
     ref = cloud_to_ri(synth_scene(0), config.geometry)
     test = upscale_ri(degrade_ri(ref, 2, 1, None), config)
     pipeline.score_ris(test, ref, interp_mask(test, 2, 1), config.delta)
-    assert len(built) == 2 and built[0] is test and built[1] is ref
+    assert len(grids) == 2 and grids[0] is test and grids[1] is ref
+    assert len(clouds) == 2 and clouds[0] is test and clouds[1] is ref
+
+
+def test_a_scan_builds_one_cloud_per_image(monkeypatch):
+    """prepare_scan builds the reference's xyz grid and cloud, and each
+    evaluate the test image's: one of each per scan plus one per cell."""
+    grids = count_projection_calls(monkeypatch, "xyz_grid")
+    clouds = count_projection_calls(monkeypatch, "ri_to_cloud")
+    config = small_config(inputs=["synth:0"], method="bilinear")
+    ctx = prepare_scan("synth:0", config)
+    tests = []
+    for cell in (config, replace(config, method="gradient")):
+        _, artifacts = evaluate(ctx, cell)
+        tests.append(artifacts["upscaled"])
+    assert len(clouds) == 3 and all(map(operator.is_, clouds, [ctx.ref_ri, *tests]))
+    assert len(grids) == 3 and all(map(operator.is_, grids, clouds))
 
 
 class TestRunPipeline:
@@ -630,7 +655,7 @@ class TestSweep:
         leaves a test point to it: the gradient cells at threshold 0.8
         leave none, the bilinear cells after them share one build."""
         config = PipelineConfig(inputs=["synth:0", "synth:1"], grad_threshold=0.8, no_artifacts=True)
-        refs = [prepare_scan(spec, config).ref_cloud.points for spec in config.inputs]
+        refs = [prepare_scan(spec, config).ref_ri.cloud.points for spec in config.inputs]
         built = count_builds(monkeypatch)
         rows = sweep(config, {"method": ["gradient", "bilinear"], "bits": [None, 10]})
         assert not any(row["error"] for row in rows)
@@ -815,6 +840,34 @@ class TestCli:
         assert "ssim" in out
         score = json.loads(out)
         assert 0.0 <= score["ssim"] <= 1.0
+
+    def test_stage_commands_print_the_npz_they_wrote(self, tmp_path, capsys):
+        """An RI written to a path without .npz gets the suffix; degrade and
+        interp print the file that holds it, which the next stage reads."""
+        ri = str(tmp_path / "ri.npz")
+        assert main(["convert", "synth:0", ri, "--width", "256", "--height", "16"]) == 0
+        assert capsys.readouterr().out == f"wrote {ri}\n"
+        assert main(["degrade", ri, str(tmp_path / "deg")]) == 0
+        deg = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n")
+        assert deg == str(tmp_path / "deg.npz")
+        assert main(["interp", deg, str(tmp_path / "up"), "--method", "bilinear"]) == 0
+        up = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n")
+        assert up == str(tmp_path / "up.npz") and load_ri(up).geometry.width == 256
+
+    @pytest.mark.parametrize("name", ["out.PLY", "out.Bin", "out.NPZ", "out.pGm"])
+    def test_convert_matches_output_suffixes_in_any_case(self, name, tmp_path, capsys):
+        out = str(tmp_path / name)
+        assert main(["convert", "synth:0", out, "--width", "256", "--height", "16"]) == 0
+        written = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n")
+        suffix = name.rsplit(".", 1)[1].lower()
+        assert written == (out + ".npz" if suffix == "npz" else out)
+        if suffix == "npz":
+            assert load_ri(written).geometry.width == 256
+        elif suffix == "pgm":
+            with open(written, "rb") as fh:
+                assert fh.read(2) == b"P5"
+        else:
+            assert len(load_scan(written)) > 0
 
     @pytest.mark.parametrize("line", ["grad_treshold = 9.0", "inputs = synth:1", "config = x.cfg"])
     def test_config_file_unknown_key_rejected(self, line, tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -86,6 +87,37 @@ class TestRangeImageValidation:
         grid[0, 0] = 1.0  # below min_depth and not EMPTY
         with pytest.raises(ValueError, match="non-empty depths"):
             RangeImage(small_geometry, grid)
+
+
+class TestImageOwnsItsPoints:
+    def test_takes_the_depth_array_and_makes_it_read_only(self, small_geometry):
+        depth = random_ri(np.random.default_rng(4), small_geometry).depth.copy()
+        ri = RangeImage(small_geometry, depth)
+        assert ri.depth is depth and not depth.flags.writeable
+
+    def test_copies_a_column_major_depth_to_c_order(self, small_geometry):
+        depth = np.asfortranarray(random_ri(np.random.default_rng(4), small_geometry).depth)
+        ri = RangeImage(small_geometry, depth)
+        assert ri.depth.flags.c_contiguous and np.array_equal(ri.depth, depth)
+        assert depth.flags.writeable  # the caller's array is left alone
+
+    def test_its_depth_cannot_be_rebound(self, small_geometry):
+        ri = random_ri(np.random.default_rng(4), small_geometry)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ri.depth = np.zeros((4, 16))
+
+    @pytest.mark.parametrize("array", ["depth", "xyz", "cloud"])
+    def test_writing_into_its_arrays_raises(self, array, small_geometry):
+        ri = random_ri(np.random.default_rng(5), small_geometry)
+        values = {"depth": ri.depth, "xyz": ri.xyz, "cloud": ri.cloud.points}[array]
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1.0
+
+    def test_xyz_and_cloud_are_built_once_bit_for_bit(self, small_geometry):
+        ri = random_ri(np.random.default_rng(6), small_geometry, 0.3)
+        assert ri.xyz.tobytes() == xyz_grid(ri).tobytes() and ri.xyz is ri.xyz
+        assert ri.cloud.points.tobytes() == ri_to_cloud(ri).points.tobytes()
+        assert ri.cloud is ri.cloud
 
 
 class TestCloudToRi:

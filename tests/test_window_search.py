@@ -23,12 +23,11 @@ from riterp import (
     RiGeometry,
     downsample_ri,
     quantize,
-    ri_to_cloud,
     upscale_baseline,
 )
 from riterp import metrics
 from riterp.metrics import WINDOW_COLS, WINDOW_ROWS, KdTree, nn_distances, window_radius
-from riterp.projection import pixel_center_angles, xyz_grid
+from riterp.projection import pixel_center_angles
 
 from conftest import count_builds, ladder_left
 from oracles import brute_window_minima
@@ -106,8 +105,8 @@ def assert_equals_ckdtree(test: RangeImage, ref: RangeImage) -> None:
     """nn_distances equals cKDTree bit for bit; the points left to the k-d
     trees are those whose exact distance the 3 x 7 window cannot certify,
     less those each cloud's ladder resolves within its own budget."""
-    a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    d_ab, d_ba, fallback, in_tree = nn_distances(a, b, ris=(test, ref))
+    a, b = test.cloud, ref.cloud
+    d_ab, d_ba, fallback, in_tree = nn_distances(test, ref)
     exact_ab = cKDTree(b.points).query(a.points)[0]
     exact_ba = cKDTree(a.points).query(b.points)[0]
     assert np.array_equal(d_ab, exact_ab)
@@ -170,10 +169,9 @@ def test_ladder_resolves_a_hole_across_the_seam(holed, monkeypatch):
     around a hole in the other image, so no k-d tree is built."""
     test, ref = hole_at_the_seam(holed)
     assert_equals_ckdtree(test, ref)
-    a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    tree_b = KdTree(b)
+    tree_b = KdTree(ref.cloud)
     built = count_builds(monkeypatch)
-    _, _, fallback, in_tree = nn_distances(a, b, tree_b, (test, ref))
+    _, _, fallback, in_tree = nn_distances(test, ref, tree_b)
     assert fallback > 100 and in_tree == 0 and not built
 
 
@@ -191,8 +189,8 @@ def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, side, monkeyp
     test = ref.copy()
     ref[10, 100] = test[10 + RUNGS[rung][0], 100] = 40.0
     a, b = RangeImage(geom, test), RangeImage(geom, ref)
-    ca, cb = ri_to_cloud(a), ri_to_cloud(b)
-    exact = cKDTree(ca.points).query(cb.points)[0][0]
+    ca, cb = a.cloud.points, b.cloud.points
+    exact = cKDTree(ca).query(cb)[0][0]
     pixels = sum((2 * rows + 1) * (2 * cols + 1) for rows, cols in RUNGS[2:rung + 1])
     budget, own = ("LADDER_PASSES", cb) if side == "reference" else ("TEST_LADDER_PASSES", ca)
     for slack, certified in ((0.5, True), (-0.5, False)):
@@ -201,12 +199,12 @@ def test_neighbour_at_a_rungs_edge_is_certified_by_that_rung(rung, side, monkeyp
         monkeypatch.setattr(metrics, budget, (pixels + slack) / (geom.height * geom.width))
         with pytest.MonkeyPatch.context() as trees:
             built = count_builds(trees)
-            d_ab, d_ba, fallback, in_tree = nn_distances(ca, cb, ris=(a, b))
+            d_ab, d_ba, fallback, in_tree = nn_distances(a, b)
         assert d_ab[0] == d_ba[0] == exact
         assert fallback == 2
         assert in_tree == (1 if certified else 2)
         expected = [own] if certified else [cb, ca]  # the tree over b is queried first
-        assert [p.tolist() for p in built] == [c.points.tolist() for c in expected]
+        assert [p.tolist() for p in built] == [c.tolist() for c in expected]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -220,7 +218,7 @@ def test_trees_are_built_only_when_the_ladders_give_up(geom, kind, seed):
     test cloud is built only when some reference point is left after the
     reference cloud's ladder."""
     test, ref = make_pair(seed, kind, geom)
-    a, b = ri_to_cloud(test), ri_to_cloud(ref)
+    a, b = test.cloud, ref.cloud
     exact_ab = cKDTree(b.points).query(a.points)[0]
     exact_ba = cKDTree(a.points).query(b.points)[0]
     _, after_a = ladder_left(test, exact_ab, metrics.TEST_LADDER_PASSES)
@@ -228,7 +226,7 @@ def test_trees_are_built_only_when_the_ladders_give_up(geom, kind, seed):
     tree_b = KdTree(b)
     with pytest.MonkeyPatch.context() as monkeypatch:
         built = count_builds(monkeypatch)
-        d_ab, d_ba, _, in_tree = nn_distances(a, b, tree_b, (test, ref))
+        d_ab, d_ba, _, in_tree = nn_distances(test, ref, tree_b)
     expected = [b] * (after_a > 0) + [a] * (after_b > 0)
     assert [p.tolist() for p in built] == [c.points.tolist() for c in expected]
     assert np.array_equal(d_ab, exact_ab) and np.array_equal(d_ba, exact_ba)
@@ -240,8 +238,8 @@ def test_different_geometries_fall_back_to_the_tree():
     geom = geometry(16, 8, -24.8, 2.0)
     ref = RangeImage(geom, random_depths(rng, geom, 0.3))
     test = downsample_ri(ref, 2, 1)
-    a, b = ri_to_cloud(test), ri_to_cloud(ref)
-    d_ab, d_ba, fallback, in_tree = nn_distances(a, b, ris=(test, ref))
+    a, b = test.cloud, ref.cloud
+    d_ab, d_ba, fallback, in_tree = nn_distances(test, ref)
     assert np.array_equal(d_ab, cKDTree(b.points).query(a.points)[0])
     assert np.array_equal(d_ba, cKDTree(a.points).query(b.points)[0])
     assert fallback == in_tree == len(a) + len(b)
@@ -283,10 +281,9 @@ def test_neighbour_one_pixel_away_is_certified(geom, step):
     else:
         test[:, 1::2] = 0.0
     a, b = RangeImage(geom, test), RangeImage(geom, ref)
-    ca, cb = ri_to_cloud(a), ri_to_cloud(b)
-    d_ab, d_ba, fallback, _ = nn_distances(ca, cb, ris=(a, b))
+    d_ab, d_ba, fallback, _ = nn_distances(a, b)
     assert fallback == 0
-    assert np.array_equal(d_ba, cKDTree(ca.points).query(cb.points)[0])
+    assert np.array_equal(d_ba, cKDTree(a.cloud.points).query(b.cloud.points)[0])
 
 
 def test_radius_is_the_row_bound_when_columns_are_all_in_the_window():
@@ -337,10 +334,9 @@ def test_window_minima_equal_brute_force(kind, geom, seed):
     the pixels of each point's own row within the geometry's
     _centre_row_cols columns, bit for bit."""
     test, ref = make_pair(seed, kind, geom)
-    pa, pb = ri_to_cloud(test).points, ri_to_cloud(ref).points
+    pa, pb = test.cloud.points, ref.cloud.points
     cols = metrics._centre_row_cols(geom)
-    min_a, min_b = metrics._centre_row_minima(xyz_grid(test), xyz_grid(ref), test.occupied,
-                                              ref.occupied, cols)
+    min_a, min_b = metrics._centre_row_minima(test, ref, cols)
     assert min_a.tolist() == brute_window_minima(test.occupied, pa, ref.occupied, pb, 0, cols)
     assert min_b.tolist() == brute_window_minima(ref.occupied, pb, test.occupied, pa, 0, cols)
 
@@ -357,14 +353,12 @@ def test_ladder_rungs_0_and_1_equal_brute_force(kind, geom, seed):
     for bit, and leaves the rest: rung 1 searches every pixel of the
     window that rung 0 did not."""
     test, ref = make_pair(seed, kind, geom)
-    grids = xyz_grid(test), xyz_grid(ref)
-    points = ri_to_cloud(test).points, ri_to_cloud(ref).points
-    minima = metrics._centre_row_minima(*grids, test.occupied, ref.occupied,
-                                        metrics._centre_row_cols(geom))
+    points = test.cloud.points, ref.cloud.points
+    minima = metrics._centre_row_minima(test, ref, metrics._centre_row_cols(geom))
     radius = window_radius(geom, WINDOW_ROWS, WINDOW_COLS) * (1 - 1e-9)
     for own, other in ((0, 1), (1, 0)):
         ri, other_ri = (test, ref)[own], (test, ref)[other]
-        d, n_left = metrics._ladder(ri, points[own], minima[own], grids[other], 0)
+        d, n_left = metrics._ladder(ri, minima[own], other_ri, 0)
         exact = np.sqrt(brute_window_minima(ri.occupied, points[own], other_ri.occupied,
                                             points[other], WINDOW_ROWS, WINDOW_COLS))
         certified = exact < ri.depth[ri.occupied] * radius
