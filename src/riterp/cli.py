@@ -153,17 +153,20 @@ def _cmd_convert(args) -> int:
     data = load_scan(args.input)
     if suffix in (".npz", ".pgm"):  # range image outputs
         data = cloud_to_ri(data, RiGeometry(**{name: getattr(args, name) for name in _GEOMETRY}))
-    written = writers[suffix](data, dst)  # save_ri returns the path np.savez named
-    print(f"wrote {written or dst}")
+    writers[suffix](data, dst)
+    print(f"wrote {dst}")
     return 0
 
 
 def _write_ri(out, args) -> int:
-    """degrade's and interp's output: the RI, and with --pgm its view."""
+    """degrade's and interp's output: the RI, and with --pgm its view,
+    named from the archive written, with .pgm for its suffix."""
     written = save_ri(out, args.output)
-    if args.pgm:
-        write_pgm(out, Path(args.output).with_suffix(".pgm"))
     print(f"wrote {written}")
+    if args.pgm:
+        view = written.with_suffix(".pgm")
+        write_pgm(out, view)
+        print(f"wrote {view}")
     return 0
 
 

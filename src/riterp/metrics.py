@@ -19,14 +19,16 @@ padded xyz grids (RangeImage.xyz, NaN at EMPTY), which each image builds
 once for its cloud and every search: rung 0 as band slices, rung 1
 through a table of offsets into the padding, the wider rungs through
 clamped and wrapped pixel indices. KdTree (scipy's cKDTree, built at its
-first non-empty query) resolves the points still without an answer, and
-every point when the geometries differ. scipy is imported at that first
-build, not with this module, so importing riterp and scoring a scan whose
-ladders certify every point never load it. chamfer scores two plain
-clouds with the k-d trees alone.
+first non-empty query, or ahead of it on one helper thread once
+prefetched) resolves the points still without an answer, and every point
+when the geometries differ. scipy is imported at that first build, not
+with this module, so importing riterp and scoring a scan whose ladders
+certify every point never load it. chamfer scores two plain clouds with
+the k-d trees alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -104,18 +106,32 @@ def _build_tree(points: np.ndarray):
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
+@functools.cache
+def _builder():
+    """The one helper thread that builds prefetched trees, started at the
+    first prefetch (cKDTree's build releases the GIL, so it runs beside
+    the caller's numpy work)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="riterp-kdtree")
+
+
 class KdTree:
     """Exact nearest-neighbor index over a point cloud, built on demand.
 
     The constructor keeps a private copy of the cloud's points, so the
-    index answers for the cloud as it was then. The first query with any
+    index answers for the cloud as it was then, and a build on the helper
+    thread never races the caller's writes. The first query with any
     point builds scipy's cKDTree over them with _build_tree, which is
     also where scipy is first imported, and later queries reuse it; an
-    empty query builds nothing and loads no scipy. The tree uses
-    sliding-midpoint splits (Maneewongvatana & Mount 1999), which build
-    faster than median splits and answer the same exact queries, and
-    scipy's default leaves of up to 16 points; distances match a
-    brute-force scan exactly (same float64 arithmetic).
+    empty query builds nothing, waits for nothing and loads no scipy.
+    prefetch starts that build ahead on the helper thread; the first
+    query with points then waits for what is left of it, and raises the
+    build's error if it failed. The tree uses sliding-midpoint splits
+    (Maneewongvatana & Mount 1999), which build faster than median splits
+    and answer the same exact queries, and scipy's default leaves of up
+    to 16 points; distances match a brute-force scan exactly (same
+    float64 arithmetic).
     """
 
     def __init__(self, cloud: PointCloud):
@@ -123,13 +139,21 @@ class KdTree:
             raise ValueError("cannot index an empty cloud")
         self._points = cloud.points.copy()
         self._tree = None
+        self._pending = None  # the prefetched build's Future, until a query takes it
+
+    def prefetch(self) -> None:
+        """Start building the tree on the helper thread, unless it is built
+        or being built."""
+        if self._tree is None and self._pending is None:
+            self._pending = _builder().submit(_build_tree, self._points)
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-neighbor (distances, indices) for each row of (N, 3) points."""
         if len(points) == 0:
             return np.zeros(0), np.zeros(0, dtype=np.intp)
         if self._tree is None:
-            self._tree = _build_tree(self._points)
+            pending, self._pending = self._pending, None
+            self._tree = _build_tree(self._points) if pending is None else pending.result()
         dist, idx = self._tree.query(points, k=1, workers=1)
         return np.atleast_1d(dist), np.atleast_1d(idx)
 

@@ -15,10 +15,12 @@ changes (through the reference RI and its cloud, its k-d tree index and
 its half of SSIM) once per scan; evaluate runs the rest for one config,
 so sweep cells share them. Each image builds its xyz grid and cloud
 once (RangeImage.xyz and .cloud), and scoring and the artifact writer
-read them from it. The index builds its tree in the
-first cell that queries it, if any does. STAGE_FIELDS says which config
-fields each stage reads: prefix_key and cell_key are read from it, and a
-sweep evaluates each distinct cell of a scan once. sweep is the one loop
+read them from it. The index builds its tree in the first cell that
+queries it, if any does; a sweep prefetches it on the helper thread for
+a scan with a cell of another method than gradient, so it builds while
+that cell runs. STAGE_FIELDS says which config fields each stage reads:
+prefix_key and cell_key are read from it, and a sweep evaluates each
+distinct cell of a scan once. sweep is the one loop
 over scans: run_pipeline is the sweep of one cell, plus its report.
 """
 from __future__ import annotations
@@ -253,7 +255,8 @@ class ScanContext:
 
     ref_tree, over ref_ri.cloud, builds its k-d tree at its first query
     with points, so the first cell that leaves a test point to it pays for
-    the build in its score time, and the later cells reuse it."""
+    the build, or when prefetched the wait for what is left of it, in its
+    score time, and the later cells reuse it."""
 
     spec: str
     key: tuple
@@ -269,10 +272,10 @@ class ScanContext:
 
 def prepare_scan(spec: str, config: PipelineConfig) -> ScanContext:
     """Run ingest, filter and project on one input, and make the
-    reference's cloud, its KdTree (whose tree is built later, when first
-    queried) and its SSIM terms. Raises StageError with the failing
-    stage's name; the cloud counts as reconstruct time, the KdTree and
-    the SSIM terms as score time."""
+    reference's cloud, its KdTree (whose tree is built later: at its
+    first query, or ahead once prefetched) and its SSIM terms. Raises
+    StageError with the failing stage's name; the cloud counts as
+    reconstruct time, the KdTree and the SSIM terms as score time."""
     timings: dict[str, float] = {}
     with _stage(timings, "ingest"):
         cloud = load_scan(spec)
@@ -418,7 +421,13 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
     cell_key is evaluated and writes artifacts; a write that fails puts
     its error on that row, which keeps its numbers and times. A later job
     gets a new dict: the evaluated row without a write error, with its own
-    config echo and every time_*_ms at 0.0."""
+    config echo and every time_*_ms at 0.0.
+
+    When a job's method is not gradient, the reference tree is prefetched
+    as soon as the scan is prepared: a depth-blind baseline leaves its
+    mid-air points to it, and 'none' every point, so it builds on the
+    helper thread while the cells run. A gradient-only scan keeps the
+    lazy build, which its ladders often make unneeded."""
     _, spec, first, _ = jobs[0]
     try:
         ctx = prepare_scan(spec, first)
@@ -426,6 +435,8 @@ def _sweep_scan(jobs: list[tuple[int, str, PipelineConfig, str]], rows: list) ->
         for index, spec, cell, _ in jobs:
             rows[index] = _error_row(cell, spec, str(err))
         return
+    if any(cell.method != "gradient" for _, _, cell, _ in jobs):
+        ctx.ref_tree.prefetch()
     evaluated: dict[tuple, dict] = {}
     for index, spec, cell, label in jobs:
         key = cell_key(cell)

@@ -92,8 +92,8 @@ class RangeImage:
     may hold arbitrary float64 values.
 
     The image is frozen and keeps the depth array it is given, made
-    read-only (a copy if it is not C-contiguous float64), so xyz and cloud,
-    each built at its first read, never go stale.
+    read-only (a copy if it is not C-contiguous float64), so occupied, xyz
+    and cloud, each built at its first read, never go stale.
     """
 
     geometry: RiGeometry
@@ -116,10 +116,12 @@ class RangeImage:
         grid.flags.writeable = False
         object.__setattr__(self, "depth", grid)
 
-    @property
+    @cached_property
     def occupied(self) -> np.ndarray:
-        """Boolean mask of non-EMPTY pixels."""
-        return self.depth != EMPTY
+        """Boolean mask of non-EMPTY pixels, read-only."""
+        mask = self.depth != EMPTY
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def xyz(self) -> np.ndarray:
@@ -240,11 +242,11 @@ def write_pgm(ri: RangeImage, path: str | Path) -> None:
 
 def save_ri(ri: RangeImage, path: str | Path) -> Path:
     """Lossless on-disk RI (.npz) for chaining CLI stages. Returns the path
-    written: path, with .npz appended unless it ends in it, as np.savez
-    names the file."""
-    path = Path(path if str(path).endswith(".npz") else f"{path}.npz")
+    written: path, with .npz appended unless it ends in .npz in any case."""
+    path = Path(path if str(path).lower().endswith(".npz") else f"{path}.npz")
     g = ri.geometry
-    np.savez(path, depth=ri.depth, **{f.name: getattr(g, f.name) for f in fields(g)})
+    with open(path, "wb") as fh:  # np.savez would append .npz to a path in another case
+        np.savez(fh, depth=ri.depth, **{f.name: getattr(g, f.name) for f in fields(g)})
     return path
 
 

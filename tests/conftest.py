@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,18 +44,28 @@ def random_ri(rng, geom: RiGeometry, empty_fraction: float = 0.3) -> RangeImage:
     return RangeImage(geom, depth)
 
 
-def count_builds(monkeypatch) -> list[np.ndarray]:
-    """Record the points of every scipy cKDTree that metrics builds; a
-    KdTree builds one only at its first query with points."""
+def count_builds(monkeypatch, threads: list | None = None) -> list[np.ndarray]:
+    """Record the points of every scipy cKDTree that metrics builds, and
+    in `threads`, if given, the thread that built each; a KdTree builds
+    one at its first query with points, or on the helper thread once
+    prefetched."""
     built = []
     real = metrics._build_tree
 
     def counting(points):
+        if threads is not None:
+            threads.append(threading.current_thread())
         built.append(points)
         return real(points)
 
     monkeypatch.setattr(metrics, "_build_tree", counting)
     return built
+
+
+def finish_prefetches() -> None:
+    """Wait for every tree build prefetched so far: the helper runs them in
+    order, so they are done once a later no-op is."""
+    metrics._builder().submit(int).result(timeout=60)
 
 
 def ladder_left(ri: RangeImage, exact, passes: float) -> tuple[int, int]:

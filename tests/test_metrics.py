@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from riterp import (
 from riterp import metrics
 from riterp.metrics import nn_distances, noise_split
 
-from conftest import count_builds, random_ri
+from conftest import count_builds, finish_prefetches, random_ri
 from oracles import brute_chamfer, brute_nn_dists, reference_ssim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,19 +168,95 @@ class TestKdTree:
         points = rng.uniform(-10, 10, size=(200, 3))
         queries = rng.uniform(-12, 12, size=(50, 3))
         cloud = PointCloud(points=points.copy())
-        tree = KdTree(cloud)
-        cloud.points += 100.0  # before the tree is built
-        assert np.array_equal(tree.query(queries)[0], brute_nn_dists(queries, points))
+        tree, ahead = KdTree(cloud), KdTree(cloud)
+        ahead.prefetch()
+        cloud.points += 100.0  # before the tree is built, or while the helper builds it
+        for index in (tree, ahead):
+            assert np.array_equal(index.query(queries)[0], brute_nn_dists(queries, points))
         cloud.points[:] = 0.0  # after
-        assert np.array_equal(tree.query(queries)[0], brute_nn_dists(queries, points))
+        for index in (tree, ahead):
+            assert np.array_equal(index.query(queries)[0], brute_nn_dists(queries, points))
+
+    @pytest.mark.parametrize("first", ["prefetch", "query"])
+    def test_a_prefetched_tree_builds_once(self, first, monkeypatch):
+        """Two prefetches, or a prefetch after the tree is built, build one
+        tree, which every query uses."""
+        built = count_builds(monkeypatch)
+        tree = KdTree(PointCloud(points=[[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+        if first == "prefetch":
+            tree.prefetch()
+        else:
+            assert tree.query(np.array([[2.0, 0.0, 0.0]]))[0].tolist() == [1.0]
+        tree.prefetch()
+        assert tree.query(np.array([[1.0, 0.0, 0.0]]))[0].tolist() == [1.0]
+        assert tree.query(np.array([[2.5, 0.0, 0.0]]))[0].tolist() == [0.5]
+        finish_prefetches()
+        assert len(built) == 1
+
+    def test_empty_query_waits_for_no_prefetched_build(self, monkeypatch):
+        release = threading.Event()
+        real = metrics._build_tree
+
+        def held(points):
+            if not release.wait(timeout=30):
+                raise TimeoutError("build never released")
+            return real(points)
+
+        monkeypatch.setattr(metrics, "_build_tree", held)
+        tree = KdTree(PointCloud(points=[[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+        tree.prefetch()
+        try:
+            dist, idx = tree.query(np.zeros((0, 3)))  # returns while the build is held
+            assert dist.shape == idx.shape == (0,) and not release.is_set()
+        finally:
+            release.set()
+        assert tree.query(np.array([[1.0, 0.0, 0.0]]))[0].tolist() == [1.0]
+
+    def test_prefetched_build_error_raises_at_the_first_query(self, monkeypatch):
+        """A build that fails on the helper raises at the first query with
+        points, once: a later query builds again, as after a failed lazy build."""
+        real = metrics._build_tree
+
+        def failing(points):
+            raise MemoryError("no room for the tree")
+
+        monkeypatch.setattr(metrics, "_build_tree", failing)
+        tree = KdTree(PointCloud(points=[[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+        tree.prefetch()
+        assert tree.query(np.zeros((0, 3)))[0].size == 0
+        with pytest.raises(MemoryError, match="^no room for the tree$"):
+            tree.query(np.array([[1.0, 0.0, 0.0]]))
+        monkeypatch.setattr(metrics, "_build_tree", real)
+        assert tree.query(np.array([[1.0, 0.0, 0.0]]))[0].tolist() == [1.0]
+
+    def test_many_prefetches_under_fast_thread_switching(self):
+        """More prefetched trees than cores, queried in reverse order while
+        the interpreter switches threads every microsecond, each answer
+        exact for its own cloud."""
+        rng = np.random.default_rng(29)
+        clouds = [rng.uniform(-10, 10, size=(int(rng.integers(1, 4000)), 3)) for _ in range(8)]
+        queries = rng.uniform(-12, 12, size=(100, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trees = [KdTree(PointCloud(points=c)) for c in clouds]
+            for tree in trees:
+                tree.prefetch()
+            answers = [tree.query(queries)[0] for tree in reversed(trees)][::-1]
+        finally:
+            sys.setswitchinterval(interval)
+        for dist, cloud in zip(answers, clouds):
+            assert np.array_equal(dist, brute_nn_dists(queries, cloud))
 
     def test_distances_equal_brute_force(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
+        for k in range(10):
             n = int(rng.integers(1, 1000))
             ref = rng.uniform(-50, 50, size=(n, 3))
             queries = rng.uniform(-50, 50, size=(100, 3))
             tree = KdTree(PointCloud(points=ref))
+            if k % 2:
+                tree.prefetch()
             dist, _ = tree.query(queries)
             expected = brute_nn_dists(queries, ref)
             assert np.array_equal(dist, expected)

@@ -2,9 +2,13 @@ import itertools
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from riterp import (
     upscale_gradient,
     write_kitti_bin,
 )
-from riterp import pipeline, projection
+from riterp import metrics, pipeline, projection
 from riterp.cli import _config_from_args, _config_keys, build_parser, main
 from riterp.metrics import noise_split
 from riterp.pipeline import (
@@ -52,6 +56,22 @@ from riterp.pipeline import (
 from conftest import count_builds, ladder_left
 
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: run in a fresh interpreter: the live threads, whether scipy.spatial is
+#: loaded and the points the k-d trees scored, after a gradient-only sweep
+#: and then after a bilinear one
+_THREADS_AT_SWEEPS = '''
+import json, sys, threading
+from riterp import PipelineConfig, sweep
+config = PipelineConfig(inputs=["synth:0"], grad_threshold=0.8, no_artifacts=True)
+seen = {}
+for method in ("gradient", "bilinear"):
+    rows = sweep(config, {"method": [method]})
+    seen[method] = {"threads": threading.active_count(), "scipy": "scipy.spatial" in sys.modules,
+                    "tree_points": sum(row["nn_tree_points"] for row in rows)}
+print(json.dumps(seen))
+'''
 
 
 def small_config(**kw):
@@ -651,16 +671,55 @@ class TestSweep:
         assert sorted(calls) == ["synth:0", "synth:0", "synth:1", "synth:1"]
 
     def test_one_reference_tree_per_scan(self, monkeypatch):
-        """Each scan's reference tree is built once, in its first cell that
-        leaves a test point to it: the gradient cells at threshold 0.8
-        leave none, the bilinear cells after them share one build."""
+        """A scan with a baseline cell builds its reference tree once, on
+        the helper thread, while its cells run: the gradient cells at
+        threshold 0.8 leave no test point to it, the bilinear cells after
+        them share the one build."""
         config = PipelineConfig(inputs=["synth:0", "synth:1"], grad_threshold=0.8, no_artifacts=True)
         refs = [prepare_scan(spec, config).ref_ri.cloud.points for spec in config.inputs]
-        built = count_builds(monkeypatch)
+        threads = []
+        built = count_builds(monkeypatch, threads)
         rows = sweep(config, {"method": ["gradient", "bilinear"], "bits": [None, 10]})
         assert not any(row["error"] for row in rows)
         assert all((row["nn_tree_points"] > 0) == (row["method"] == "bilinear") for row in rows)
         assert len(built) == len(refs) and all(map(np.array_equal, built, refs))
+        assert len(set(threads)) == 1 and threads[0] is not threading.current_thread()
+
+    def test_only_a_baseline_sweep_starts_the_helper_thread(self):
+        """A gradient-only scan keeps the lazy build: when its ladders
+        certify every point it builds no tree, starts no thread and loads
+        no scipy."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", _THREADS_AT_SWEEPS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["gradient"] == {"threads": 1, "scipy": False, "tree_points": 0}
+        assert seen["bilinear"]["threads"] == 2 and seen["bilinear"]["scipy"]
+        assert seen["bilinear"]["tree_points"] > 0
+
+    def test_failed_reference_build_is_that_cells_score_error(self, monkeypatch):
+        """A reference tree that fails to build on the helper gives its
+        scan's cells the error row the lazy build gives, and the later
+        scans run."""
+        config = PipelineConfig(inputs=["synth:0", "synth:1"], method="bilinear", no_artifacts=True)
+        failing = len(prepare_scan("synth:0", config).ref_ri.cloud)
+        assert len(prepare_scan("synth:1", config).ref_ri.cloud) != failing
+        real = metrics._build_tree
+
+        def build(points):
+            if len(points) == failing:
+                raise MemoryError("no room for the tree")
+            return real(points)
+
+        monkeypatch.setattr(metrics, "_build_tree", build)
+        with pytest.raises(StageError) as lazy:
+            run_scan("synth:0", config)
+        rows = sweep(config, {"bits": [None, 10]})
+        assert [row["input"] for row in rows] == ["synth:0", "synth:1"] * 2
+        assert [row["error"] for row in rows] == [str(lazy.value), "", str(lazy.value), ""]
+        assert str(lazy.value) == "stage 'score': no room for the tree"
+        assert all(row["nn_tree_points"] > 0 for row in rows[1::2])
 
     def test_reused_stages_read_zero(self):
         config = small_config(inputs=["synth:0", "synth:1"])
@@ -854,13 +913,28 @@ class TestCli:
         up = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n")
         assert up == str(tmp_path / "up.npz") and load_ri(up).geometry.width == 256
 
+    @pytest.mark.parametrize("output, archive", [("deg.v2", "deg.v2.npz"), ("deg", "deg.npz"),
+                                                 ("deg.NPZ", "deg.NPZ")])
+    def test_pgm_view_is_named_from_the_archive(self, output, archive, tmp_path, capsys):
+        """degrade and interp --pgm write the view beside the archive, under
+        its name with .pgm for its suffix, and print both paths."""
+        ri = str(tmp_path / "ri.npz")
+        assert main(["convert", "synth:0", ri, "--width", "256", "--height", "16"]) == 0
+        capsys.readouterr()
+        assert main(["degrade", ri, str(tmp_path / output), "--pgm"]) == 0
+        view = archive.rsplit(".", 1)[0] + ".pgm"
+        assert capsys.readouterr().out == f"wrote {tmp_path / archive}\nwrote {tmp_path / view}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["ri.npz", archive, view])
+        with open(tmp_path / view, "rb") as fh:
+            assert fh.read(2) == b"P5"
+
     @pytest.mark.parametrize("name", ["out.PLY", "out.Bin", "out.NPZ", "out.pGm"])
     def test_convert_matches_output_suffixes_in_any_case(self, name, tmp_path, capsys):
         out = str(tmp_path / name)
         assert main(["convert", "synth:0", out, "--width", "256", "--height", "16"]) == 0
         written = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n")
         suffix = name.rsplit(".", 1)[1].lower()
-        assert written == (out + ".npz" if suffix == "npz" else out)
+        assert written == out and [p.name for p in tmp_path.iterdir()] == [name]
         if suffix == "npz":
             assert load_ri(written).geometry.width == 256
         elif suffix == "pgm":

@@ -106,10 +106,11 @@ class TestImageOwnsItsPoints:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ri.depth = np.zeros((4, 16))
 
-    @pytest.mark.parametrize("array", ["depth", "xyz", "cloud"])
+    @pytest.mark.parametrize("array", ["depth", "xyz", "cloud", "occupied"])
     def test_writing_into_its_arrays_raises(self, array, small_geometry):
         ri = random_ri(np.random.default_rng(5), small_geometry)
-        values = {"depth": ri.depth, "xyz": ri.xyz, "cloud": ri.cloud.points}[array]
+        values = {"depth": ri.depth, "xyz": ri.xyz, "cloud": ri.cloud.points,
+                  "occupied": ri.occupied}[array]
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 1.0
 
@@ -118,6 +119,11 @@ class TestImageOwnsItsPoints:
         assert ri.xyz.tobytes() == xyz_grid(ri).tobytes() and ri.xyz is ri.xyz
         assert ri.cloud.points.tobytes() == ri_to_cloud(ri).points.tobytes()
         assert ri.cloud is ri.cloud
+
+    def test_occupied_is_the_non_empty_mask_built_once(self, small_geometry):
+        ri = random_ri(np.random.default_rng(7), small_geometry, 0.3)
+        assert np.array_equal(ri.occupied, ri.depth != EMPTY) and ri.occupied.dtype == bool
+        assert ri.occupied is ri.occupied
 
 
 class TestCloudToRi:
@@ -307,6 +313,17 @@ class TestOccupancy:
 
 
 class TestRiFiles:
+    @pytest.mark.parametrize("name, written", [("ri.npz", "ri.npz"), ("ri.NPZ", "ri.NPZ"),
+                                               ("ri.nPz", "ri.nPz"), ("ri", "ri.npz"),
+                                               ("ri.v2", "ri.v2.npz"), ("ri.npz.v2", "ri.npz.v2.npz")])
+    def test_save_writes_exactly_the_path_it_returns(self, name, written, tmp_path, small_geometry):
+        """.npz is appended unless the name ends in it, in any case."""
+        ri = random_ri(np.random.default_rng(8), small_geometry)
+        path = save_ri(ri, str(tmp_path / name))
+        assert path == tmp_path / written
+        assert [p.name for p in tmp_path.iterdir()] == [written]
+        assert np.array_equal(load_ri(path).depth, ri.depth)
+
     def test_npz_roundtrip(self, tmp_path, synth_ri):
         path = tmp_path / "ri.npz"
         save_ri(synth_ri, path)
