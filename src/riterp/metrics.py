@@ -23,13 +23,17 @@ first non-empty query, or ahead of it on one helper thread once
 prefetched) resolves the points still without an answer, and every point
 when the geometries differ. scipy is imported at that first build, not
 with this module, so importing riterp and scoring a scan whose ladders
-certify every point never load it. chamfer scores two plain clouds with
+certify every point never load it. The one helper thread runs prefetched
+tree builds, and _beside's half of a score beside the caller: ssim (from
+pipeline.score_ris) and the test cloud's ladder; while a build holds it,
+the caller runs that half itself. chamfer scores two plain clouds with
 the k-d trees alone.
 """
 from __future__ import annotations
 
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -42,19 +46,28 @@ SSIM_K2 = 0.03
 SSIM_L = 1.0  # depths are normalized to [0, 1] before comparison
 
 
-def _window_sums(a: np.ndarray, k: int) -> np.ndarray:
-    """Sliding k x k window sums at every valid position (integral image).
+def _window_sums(a: np.ndarray, k: int, b: np.ndarray | None = None) -> np.ndarray:
+    """Sliding k x k window sums of a, or of a * b, at every valid position
+    (integral image).
 
     The rows are accumulated with one in-place add per row, then summed
     along the columns: the additions of cumsum(axis=0) then cumsum(axis=1),
-    in the same order, so the same bits, but faster than cumsum(axis=0)."""
+    in the same order, so the same bits, but faster than cumsum(axis=0).
+    The corners are combined in place, in the order of
+    s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k]."""
     s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
     rows = s[1:, 1:]
-    rows[...] = a
+    if b is None:
+        rows[...] = a
+    else:
+        np.multiply(a, b, out=rows)
     for i in range(1, len(rows)):
         np.add(rows[i - 1], rows[i], out=rows[i])
     np.cumsum(rows, axis=-1, out=rows)
-    return s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k]
+    out = np.subtract(s[k:, k:], s[:-k, k:])
+    out -= s[k:, :-k]
+    out += s[:-k, :-k]
+    return out
 
 
 def ssim_terms(ri: RangeImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,8 +75,12 @@ def ssim_terms(ri: RangeImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     their 8x8 window means and variances."""
     x = ri.depth / ri.geometry.max_depth
     n = SSIM_WINDOW * SSIM_WINDOW
-    mu = _window_sums(x, SSIM_WINDOW) / n
-    return x, mu, _window_sums(x * x, SSIM_WINDOW) / n - mu * mu
+    mu = _window_sums(x, SSIM_WINDOW)
+    mu /= n
+    var = _window_sums(x, SSIM_WINDOW, x)
+    var /= n
+    var -= mu * mu
+    return x, mu, var
 
 
 def ssim(a: RangeImage, b: RangeImage,
@@ -73,7 +90,10 @@ def ssim(a: RangeImage, b: RangeImage,
     Depths are normalized by max_depth (EMPTY participates as 0.0) and
     window statistics use population normalization. Constants are
     C1 = (0.01 L)^2, C2 = (0.03 L)^2 with L = 1. `b_terms`, ssim_terms(b)
-    computed beforehand, saves recomputing them.
+    computed beforehand, saves recomputing them; they are only read.
+    The arithmetic runs in place on a's terms and two more arrays, in
+    the order of ((2 mu_x mu_y + C1)(2 cov + C2)) /
+    ((mu_x^2 + mu_y^2 + C1)(var_x + var_y + C2)).
     """
     ga, gb = a.geometry, b.geometry
     if (ga.width, ga.height) != (gb.width, gb.height):
@@ -87,14 +107,29 @@ def ssim(a: RangeImage, b: RangeImage,
 
     x, mu_x, var_x = ssim_terms(a)
     y, mu_y, var_y = b_terms if b_terms is not None else ssim_terms(b)
-    cov = _window_sums(x * y, SSIM_WINDOW) / (SSIM_WINDOW * SSIM_WINDOW) - mu_x * mu_y
+    cov = _window_sums(x, SSIM_WINDOW, y)
+    del x
+    cov /= SSIM_WINDOW * SSIM_WINDOW
+    num = np.multiply(mu_x, mu_y)
+    cov -= num
 
     c1 = (SSIM_K1 * SSIM_L) ** 2
     c2 = (SSIM_K2 * SSIM_L) ** 2
-    score = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
-    return float(score.mean())
+    np.multiply(mu_x, 2, out=num)
+    num *= mu_y
+    num += c1
+    cov *= 2
+    cov += c2
+    num *= cov
+    den = np.multiply(mu_x, mu_x, out=mu_x)
+    np.multiply(mu_y, mu_y, out=cov)
+    den += cov
+    den += c1
+    var_x += var_y
+    var_x += c2
+    den *= var_x
+    num /= den
+    return float(num.mean())
 
 
 def _build_tree(points: np.ndarray):
@@ -107,13 +142,45 @@ def _build_tree(points: np.ndarray):
 
 
 @functools.cache
-def _builder():
-    """The one helper thread that builds prefetched trees, started at the
-    first prefetch (cKDTree's build releases the GIL, so it runs beside
-    the caller's numpy work)."""
+def _helper():
+    """The one helper thread, started at its first job: prefetched tree
+    builds and _beside's jobs run on it, beside the caller's numpy work
+    (both release the GIL in their kernels)."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="riterp-kdtree")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="riterp-helper")
+
+
+#: the Future of the helper's last job, None before the first
+_last_job = None
+
+
+def _submit(fn, *args):
+    """Run fn(*args) on the helper thread, after its earlier jobs; its Future."""
+    global _last_job
+    _last_job = _helper().submit(fn, *args)
+    return _last_job
+
+
+def _beside(fn, *args):
+    """Start fn(*args) on the helper thread if the helper's last job is
+    done, else run it here (raising its error now), so that no caller
+    queues behind a prefetched build. Returns a callable that gives the
+    result, waiting for it, or raises fn's error."""
+    if _last_job is None or _last_job.done():
+        return _submit(fn, *args).result
+    result = fn(*args)
+    return lambda: result
+
+
+def _forget_helper() -> None:
+    """Start a new helper in a forked child, which has no copy of its thread."""
+    global _last_job
+    _helper.cache_clear()
+    _last_job = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 class KdTree:
@@ -125,7 +192,8 @@ class KdTree:
     point builds scipy's cKDTree over them with _build_tree, which is
     also where scipy is first imported, and later queries reuse it; an
     empty query builds nothing, waits for nothing and loads no scipy.
-    prefetch starts that build ahead on the helper thread; the first
+    prefetch starts that build ahead on the helper thread (which also
+    runs the jobs _beside hands it, after the build); the first
     query with points then waits for what is left of it, and raises the
     build's error if it failed. The tree uses sliding-midpoint splits
     (Maneewongvatana & Mount 1999), which build faster than median splits
@@ -145,7 +213,7 @@ class KdTree:
         """Start building the tree on the helper thread, unless it is built
         or being built."""
         if self._tree is None and self._pending is None:
-            self._pending = _builder().submit(_build_tree, self._points)
+            self._pending = _submit(_build_tree, self._points)
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-neighbor (distances, indices) for each row of (N, 3) points."""
@@ -337,7 +405,8 @@ def nn_distances(a: RangeImage, b: RangeImage,
     window ladder settles most points: one _centre_row_minima pass serves
     both clouds, then each cloud climbs its own _ladder on through
     widening windows, a's (the test cloud's) for up to TEST_LADDER_PASSES
-    passes and b's for up to LADDER_PASSES. The k-d trees resolve the
+    passes, on the helper thread if _beside finds it free, and b's for up
+    to LADDER_PASSES. The k-d trees resolve the
     points left, and every point when the ladder does not apply.
     `tree_b`, a KdTree over b.cloud made beforehand, is used instead of
     making one and is queried even with no point left; since a KdTree
@@ -351,8 +420,11 @@ def nn_distances(a: RangeImage, b: RangeImage,
     g = a.geometry
     if g == b.geometry and g.width >= 2 * WINDOW_COLS + 1:
         min_a, min_b = _centre_row_minima(a, b, _centre_row_cols(g))
-        d_ab, left_a = _ladder(a, min_a, b, TEST_LADDER_PASSES)
-        d_ba, left_b = _ladder(b, min_b, a, LADDER_PASSES)
+        ladder_a = _beside(_ladder, a, min_a, b, TEST_LADDER_PASSES)
+        try:
+            d_ba, left_b = _ladder(b, min_b, a, LADDER_PASSES)
+        finally:
+            d_ab, left_a = ladder_a()
         n_fallback = left_a + left_b
     else:
         d_ab, d_ba = np.full(len(ca), np.nan), np.full(len(cb), np.nan)

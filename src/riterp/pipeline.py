@@ -16,11 +16,13 @@ its half of SSIM) once per scan; evaluate runs the rest for one config,
 so sweep cells share them. Each image builds its xyz grid and cloud
 once (RangeImage.xyz and .cloud), and scoring and the artifact writer
 read them from it. The index builds its tree in the first cell that
-queries it, if any does; a sweep prefetches it on the helper thread for
-a scan with a cell of another method than gradient, so it builds while
-that cell runs. STAGE_FIELDS says which config fields each stage reads:
-prefix_key and cell_key are read from it, and a sweep evaluates each
-distinct cell of a scan once. sweep is the one loop
+queries it, if any does; a sweep prefetches it on metrics' helper
+thread for a scan with a cell of another method than gradient, so it
+builds while that cell runs. Each cell's score runs ssim on that thread
+while the caller searches the nearest neighbours, unless a build holds
+it. STAGE_FIELDS says which config fields each stage reads: prefix_key
+and cell_key are read from it, and a sweep evaluates each distinct cell
+of a scan once. sweep is the one loop
 over scans: run_pipeline is the sweep of one cell, plus its report.
 """
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .baselines import SUPPORT, upscale_baseline
 from .gradient import (ASCENDING, DEFAULT_GRADIENT_THRESHOLD, DEFAULT_WINDOW_H, DEFAULT_WINDOW_W,
                        check_gradient_factors, check_policy, check_window, upscale_gradient)
 from .lossy import check_bits, check_factors, downsample_ri, downsampled_geometry, quantize
-from .metrics import KdTree, check_delta, mean_chamfer, nn_distances, noise_split, ssim, ssim_terms
+from .metrics import (KdTree, _beside, check_delta, mean_chamfer, nn_distances, noise_split, ssim,
+                      ssim_terms)
 from .pointcloud import PointCloud, check_range, filter_by_range, read_kitti_bin, read_ply, write_ply
 from .projection import KITTI_GEOMETRY, RangeImage, RiGeometry, cloud_to_ri, occupancy, write_pgm
 from .synth import synth_scene
@@ -222,14 +225,18 @@ def score_ris(test_ri: RangeImage, ref_ri: RangeImage, mask: np.ndarray | None, 
     here unless given."""
     check_delta(delta)
     tg, rg = test_ri.geometry, ref_ri.geometry
+    test_ri.cloud, test_ri.xyz, test_ri.occupied  # built here, not on two threads at once
     if tg == rg:
-        ssim_score = ssim(test_ri, ref_ri, ref_ssim)
+        ssim_job = _beside(ssim, test_ri, ref_ri, ref_ssim)
     else:  # not upscaled: against the reference decimated to its size, un-quantized
-        ssim_score = ssim(test_ri, downsample_ri(ref_ri, max(rg.width // tg.width, 1),
-                                                 max(rg.height // tg.height, 1)))
-    # exact distances per direction: the range-image windows where they
-    # certify them, the k-d trees for the rest
-    d_test, d_ref, n_fallback, n_tree = nn_distances(test_ri, ref_ri, ref_tree)
+        ssim_job = _beside(ssim, test_ri, downsample_ri(ref_ri, max(rg.width // tg.width, 1),
+                                                        max(rg.height // tg.height, 1)))
+    # exact distances per direction, while ssim runs on the helper thread:
+    # the range-image windows where they certify them, the k-d trees for the rest
+    try:
+        d_test, d_ref, n_fallback, n_tree = nn_distances(test_ri, ref_ri, ref_tree)
+    finally:  # an error here leaves once ssim is done, and ssim's own error first
+        ssim_score = ssim_job()
     ratio, densify = (None, 0) if mask is None else noise_split(d_test[mask], delta)
     n_interp = 0 if mask is None else int(np.count_nonzero(mask))
     return {"ssim": ssim_score, "noise_ratio": ratio, "chamfer": mean_chamfer(d_test, d_ref),

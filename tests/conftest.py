@@ -63,9 +63,10 @@ def count_builds(monkeypatch, threads: list | None = None) -> list[np.ndarray]:
 
 
 def finish_prefetches() -> None:
-    """Wait for every tree build prefetched so far: the helper runs them in
-    order, so they are done once a later no-op is."""
-    metrics._builder().submit(int).result(timeout=60)
+    """Wait for every job given to the helper thread so far, prefetched
+    tree builds included: the helper runs them in order, so they are done
+    once a later no-op is."""
+    metrics._helper().submit(int).result(timeout=60)
 
 
 def ladder_left(ri: RangeImage, exact, passes: float) -> tuple[int, int]:

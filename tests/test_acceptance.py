@@ -12,7 +12,10 @@ fill's radial error at 0.4 m, which keeps interpolated points within
 delta = 0.5 m of the reference surface and makes the zero-noise outcome
 analytically expected rather than a tuning accident.
 """
+import os
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -226,15 +229,34 @@ def test_criterion_6_quantization_bound(bits):
           f"{err:.6f} <= {step / 2:.6f}): PASS")
 
 
+@contextmanager
+def one_cpu():
+    """Pin every thread of this process, and each thread it starts, to one
+    of its CPUs; restore the CPU mask on exit."""
+    mask = os.sched_getaffinity(0)
+
+    def pin(cpus):
+        for thread in threading.enumerate():
+            os.sched_setaffinity(thread.native_id, cpus)
+
+    pin({min(mask)})
+    try:
+        yield
+    finally:
+        pin(mask)
+
+
 # the soft bound's miss is a warning by design, not an error
 @pytest.mark.filterwarnings("default:pipeline took:UserWarning")
 def test_criterion_7_latency_soft():
-    """Full pipeline on one 64-beam scan in under 500 ms single-threaded:
-    reported, and a miss is a warning rather than a failure."""
+    """Full pipeline on one 64-beam scan in under 500 ms on one core (the
+    scan's helper-thread jobs share it): reported, and a miss is a warning
+    rather than a failure."""
     config = acceptance_config("gradient")
     spec = acceptance_inputs()[0]
-    report, _ = run_scan(spec, config)  # warm caches/JITs, then measure
-    report, _ = run_scan(spec, config)
+    with one_cpu():
+        report, _ = run_scan(spec, config)  # warm caches/JITs, then measure
+        report, _ = run_scan(spec, config)
     stages = ("project", "degrade", "interp", "reconstruct", "score")
     total_ms = sum(report[f"time_{s}_ms"] for s in stages)
     breakdown = ", ".join(f"{s}={report[f'time_{s}_ms']:.0f}ms" for s in stages)

@@ -35,7 +35,7 @@ from riterp import (
 )
 from riterp import metrics, pipeline, projection
 from riterp.cli import _config_from_args, _config_keys, build_parser, main
-from riterp.metrics import noise_split
+from riterp.metrics import TEST_LADDER_PASSES, noise_split
 from riterp.pipeline import (
     INTERP_COLOR,
     METHODS,
@@ -53,7 +53,7 @@ from riterp.pipeline import (
     upscale_ri,
 )
 
-from conftest import count_builds, ladder_left
+from conftest import count_builds, finish_prefetches, ladder_left
 
 SMALL = dict(width=256, height=64, delta=0.5, no_artifacts=True)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -71,6 +71,29 @@ for method in ("gradient", "bilinear"):
     seen[method] = {"threads": threading.active_count(), "scipy": "scipy.spatial" in sys.modules,
                     "tree_points": sum(row["nn_tree_points"] for row in rows)}
 print(json.dumps(seen))
+'''
+
+#: run in a fresh interpreter: a sweep in a child forked after a baseline
+#: sweep must finish; the parent kills the child if it has not within 60 s
+_SWEEP_AFTER_FORK = '''
+import os, signal, sys, time
+from riterp import PipelineConfig, sweep
+config = PipelineConfig(inputs=["synth:0"], width=256, height=64, no_artifacts=True)
+grid = {"method": ["bilinear", "gradient"]}
+assert not any(row["error"] for row in sweep(config, grid))
+pid = os.fork()
+if pid == 0:
+    os._exit(1 if any(row["error"] for row in sweep(config, grid)) else 0)
+deadline = time.monotonic() + 60
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child's sweep hung")
+    time.sleep(0.05)
 '''
 
 
@@ -685,18 +708,27 @@ class TestSweep:
         assert len(built) == len(refs) and all(map(np.array_equal, built, refs))
         assert len(set(threads)) == 1 and threads[0] is not threading.current_thread()
 
-    def test_only_a_baseline_sweep_starts_the_helper_thread(self):
-        """A gradient-only scan keeps the lazy build: when its ladders
-        certify every point it builds no tree, starts no thread and loads
-        no scipy."""
+    def test_a_sweep_starts_one_helper_thread(self):
+        """Every scored cell runs ssim on the one helper thread, so a
+        gradient-only sweep starts it; when its ladders certify every point
+        it still builds no tree and loads no scipy. A bilinear sweep after
+        it builds its tree on the same thread."""
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-c", _THREADS_AT_SWEEPS], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         seen = json.loads(done.stdout)
-        assert seen["gradient"] == {"threads": 1, "scipy": False, "tree_points": 0}
+        assert seen["gradient"] == {"threads": 2, "scipy": False, "tree_points": 0}
         assert seen["bilinear"]["threads"] == 2 and seen["bilinear"]["scipy"]
         assert seen["bilinear"]["tree_points"] > 0
+
+    def test_a_forked_child_sweeps(self):
+        """A child forked after a baseline sweep, whose helper thread it
+        does not inherit, runs its own sweep to the end."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", _SWEEP_AFTER_FORK], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_failed_reference_build_is_that_cells_score_error(self, monkeypatch):
         """A reference tree that fails to build on the helper gives its
@@ -720,6 +752,103 @@ class TestSweep:
         assert [row["error"] for row in rows] == [str(lazy.value), "", str(lazy.value), ""]
         assert str(lazy.value) == "stage 'score': no room for the tree"
         assert all(row["nn_tree_points"] > 0 for row in rows[1::2])
+
+    @pytest.mark.parametrize("job", ["ssim", "ladder"])
+    def test_a_job_that_fails_beside_is_that_cells_score_error(self, job, monkeypatch):
+        """An ssim, or a test cloud's ladder, that raises on the helper
+        thread gives its cell the score error row, and the next cell's row
+        is the one it gets without the error."""
+        config = small_config(inputs=["synth:0"], grad_threshold=0.8)
+        grid = {"bits": [None, 10]}
+        expected = sweep(config, grid)
+        owner, name = (pipeline, "ssim") if job == "ssim" else (metrics, "_ladder")
+        real = getattr(owner, name)
+        threads = []
+
+        def fail_first(*args):
+            if job == "ladder" and args[3] != TEST_LADDER_PASSES:
+                return real(*args)
+            threads.append(threading.current_thread())
+            if len(threads) == 1:
+                raise MemoryError(f"no room for the {job}")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, fail_first)
+        finish_prefetches()
+        rows = sweep(config, grid)
+        assert rows[0]["error"] == f"stage 'score': no room for the {job}"
+        assert strip_times(rows[1]) == strip_times(expected[1])
+        if job == "ssim":  # the ladder runs here if ssim still holds the helper
+            assert threads[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("job", ["ssim", "ladder"])
+    def test_an_error_here_waits_for_the_job_beside(self, job, monkeypatch):
+        """When the caller's half of the score fails (nn_distances beside
+        ssim, the reference's ladder beside the test cloud's), the error
+        leaves only after the helper's job has finished, so none of it runs
+        into the next cell."""
+        finished = threading.Event()
+        real = pipeline.ssim if job == "ssim" else metrics._ladder
+
+        def here(*args):
+            raise MemoryError("no room for the distances")
+
+        def beside(*args):
+            if job == "ladder" and args[3] != TEST_LADDER_PASSES:
+                return here(*args)
+            time.sleep(0.2)
+            result = real(*args)
+            finished.set()
+            return result
+
+        finish_prefetches()
+        if job == "ssim":
+            monkeypatch.setattr(pipeline, "ssim", beside)
+            monkeypatch.setattr(pipeline, "nn_distances", here)
+            with pytest.raises(StageError, match="^stage 'score': no room for the distances$"):
+                run_scan("synth:0", small_config())
+        else:
+            monkeypatch.setattr(metrics, "_ladder", beside)
+            ri = prepare_scan("synth:0", small_config()).ref_ri
+            with pytest.raises(MemoryError, match="^no room for the distances$"):
+                metrics.nn_distances(ri, ri)
+        assert finished.is_set()
+
+    def test_a_busy_helper_gives_the_same_rows_inline(self, monkeypatch):
+        """While a prefetched build holds the helper, each cell runs ssim
+        and both ladders itself, with the same numbers."""
+        config = small_config(inputs=["synth:0", "synth:1"])
+        grid = {"bits": [None, 10], "grad_threshold": [0.8, 2.5]}
+        ssim_at, ladders_at = [], []
+        real_ssim, real_ladder = pipeline.ssim, metrics._ladder
+        monkeypatch.setattr(pipeline, "ssim",
+                            lambda *args: ssim_at.append(threading.current_thread()) or real_ssim(*args))
+        monkeypatch.setattr(metrics, "_ladder", lambda *args: ladders_at.append(
+            threading.current_thread()) or real_ladder(*args))
+        finish_prefetches()
+        beside = sweep(config, grid)
+        assert threading.current_thread() not in ssim_at
+        ssim_at.clear()
+        ladders_at.clear()
+        release = threading.Event()
+        real_build = metrics._build_tree
+
+        def held(points):
+            if not release.wait(timeout=60):
+                raise TimeoutError("build never released")
+            return real_build(points)
+
+        monkeypatch.setattr(metrics, "_build_tree", held)
+        KdTree(PointCloud(points=[[0.0, 0.0, 0.0]])).prefetch()
+        monkeypatch.setattr(metrics, "_build_tree", real_build)
+        try:
+            inline = sweep(config, grid)
+            assert not release.is_set()
+        finally:
+            release.set()
+        finish_prefetches()
+        assert set(ssim_at) == set(ladders_at) == {threading.current_thread()}
+        assert [strip_times(row) for row in inline] == [strip_times(row) for row in beside]
 
     def test_reused_stages_read_zero(self):
         config = small_config(inputs=["synth:0", "synth:1"])

@@ -10,6 +10,7 @@ root:
     PYTHONPATH=src python tests/test_report_snapshot.py
 """
 import json
+import sys
 from pathlib import Path
 
 from riterp import PipelineConfig, sweep
@@ -30,6 +31,18 @@ def test_reports_match_the_snapshot():
     assert len(rows) == len(expected) == 2 * len(METHODS) * 2
     for row, want in zip(rows, expected):
         assert row == want
+
+
+def test_reports_match_the_snapshot_under_fast_thread_switching():
+    """The same rows while the interpreter switches threads every
+    microsecond between each cell's caller and its helper-thread jobs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = snapshot_rows()
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == json.loads(SNAPSHOT.read_text())
 
 
 if __name__ == "__main__":
